@@ -1,6 +1,12 @@
-"""J-fold cross-fitting: train on each fold's complement, evaluate in-fold."""
+"""J-fold cross-fitting: train on each fold's complement, evaluate in-fold.
+
+Every fold split in the package comes from ``make_plan``, and every per-fold
+fit and out-of-fold prediction goes through ``fit_folds`` and
+``out_of_fold``.
+"""
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +52,47 @@ def make_plan(n: int, folds: int, seed: int) -> CrossFitPlan:
     return CrossFitPlan(n=n, folds=folds, assignment=assignment, seed=seed)
 
 
-def crossfit_predict(dataset, plan: CrossFitPlan, fit_fn, predict_fn) -> np.ndarray:
+def _in_fold(j: int, fn, *args):
+    """Call ``fn(*args)``; an error keeps its type and attributes and gains a
+    ``fold j:`` prefix on its message."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        exc.args = (f"fold {j}: {exc}",)
+        raise
+
+
+def fit_folds(plan: CrossFitPlan, fit_fn, threads: int = 1) -> list:
+    """One model per fold: ``fit_fn(j, train_idx)`` for j = 0..J-1, in fold
+    order, on up to ``threads`` worker threads."""
+    def fit(j):
+        return _in_fold(j, fit_fn, j, plan.train_indices(j))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fit, range(plan.folds)))
+    return [fit(j) for j in range(plan.folds)]
+
+
+def out_of_fold(plan: CrossFitPlan, models, predict_fn) -> np.ndarray:
+    """Out-of-fold values in row order: row i holds its entry of
+    ``predict_fn(models[j(i)], val_idx)``, where the prediction is a rows-first
+    array of any trailing shape."""
+    out = None
+    for j, model in enumerate(models):
+        va = plan.val_indices(j)
+        values = np.asarray(_in_fold(j, predict_fn, model, va), dtype=float)
+        if out is None:
+            out = np.empty((plan.n,) + values.shape[1:])
+        out[va] = values
+    return out
+
+
+def crossfit_predict(plan: CrossFitPlan, fit_fn, predict_fn) -> np.ndarray:
     """Out-of-fold predictions: row i is predicted by the model trained on
     T_{j(i)}, so no prediction depends on the row's own target.
 
-    ``fit_fn(dataset, train_idx) -> model``; ``predict_fn(model, dataset,
-    idx) -> values``. Learner errors propagate tagged with the fold index.
+    ``fit_fn(j, train_idx) -> model``; ``predict_fn(model, val_idx) ->
+    values``. Learner errors propagate tagged with the fold index.
     """
-    out = None
-    for j in range(plan.folds):
-        tr = plan.train_indices(j)
-        va = plan.val_indices(j)
-        try:
-            model = fit_fn(dataset, tr)
-            values = np.asarray(predict_fn(model, dataset, va), dtype=float)
-        except Exception as exc:
-            try:
-                tagged = type(exc)(f"fold {j}: {exc}")
-            except Exception:  # exception type with a custom signature
-                raise exc
-            raise tagged from exc
-        if out is None:
-            out = np.empty(plan.n, dtype=values.dtype if values.ndim == 1 else float)
-        out[va] = values
-    return out
+    return out_of_fold(plan, fit_folds(plan, fit_fn), predict_fn)

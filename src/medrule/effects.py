@@ -14,11 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .eif import NuisanceFits, pseudo_outcome_values, shift_weight_values
-from .errors import MissingArm, PositivityDiagnosticWarning
+from .eif import NuisanceFits, pseudo_outcome_and_weight
+from .errors import PositivityDiagnosticWarning
 from .subgroup import SubgroupAssignment
 
-CONTRASTS = ("indirect", "direct", "total", "piie", "pite")
+# contrast -> (minuend pair, subtrahend pair, rule-dependent). In the pairs
+# (a', a*) of a rule-dependent contrast, each 1 stands for the row's rule value d.
+CONTRASTS = {
+    "indirect": ((1, 1), (1, 0), True),
+    "direct": ((1, 0), (0, 0), True),
+    "total": ((1, 1), (0, 0), True),
+    "piie": ((1, 1), (1, 0), False),
+    "pite": ((1, 1), (0, 0), False),
+}
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,11 @@ def estimated_rule(assignment: SubgroupAssignment,
                     assignment=assignment)
 
 
-ARMS = {"indirect": "(d,d)-(d,0)", "direct": "(d,0)-(0,0)",
-        "total": "(d,d)-(0,0)", "piie": "(1,1)-(1,0)", "pite": "(1,1)-(0,0)"}
+def _arms(contrast: str) -> str:
+    """The arm label, e.g. "(d,d)-(d,0)" for the indirect contrast."""
+    *pairs, by_rule = CONTRASTS[contrast]
+    return "-".join("(" + ",".join("d" if by_rule and arm else str(arm) for arm in pair)
+                    + ")" for pair in pairs)
 
 
 @dataclass(frozen=True)
@@ -75,47 +86,46 @@ class EffectEstimate:
                 "n": self.n, "folds": self.folds}
 
 
-def _pair_values(dataset, fits, pair) -> np.ndarray:
-    if pair not in fits.u_vals:
-        raise MissingArm(pair)
-    return pseudo_outcome_values(dataset, fits, *pair)
-
-
-def _row_contrast(dataset: Dataset, fits: NuisanceFits, d: np.ndarray,
-                  contrast: str) -> np.ndarray:
-    n = dataset.n
-    treated = d == 1
-    c = np.zeros(n)
-    if contrast == "piie":
-        return _pair_values(dataset, fits, (1, 1)) - _pair_values(dataset, fits, (1, 0))
-    if contrast == "pite":
-        return _pair_values(dataset, fits, (1, 1)) - _pair_values(dataset, fits, (0, 0))
-    if contrast not in CONTRASTS:
-        raise ValueError(f"unknown contrast {contrast!r}; choose from {CONTRASTS}")
-    if not np.any(treated):
-        return c  # both arms coincide row-wise: exact zero
-    if contrast == "indirect":
-        c[treated] = (_pair_values(dataset, fits, (1, 1))
-                      - _pair_values(dataset, fits, (1, 0)))[treated]
-    elif contrast == "direct":
-        c[treated] = (_pair_values(dataset, fits, (1, 0))
-                      - _pair_values(dataset, fits, (0, 0)))[treated]
-    elif contrast == "total":
-        c[treated] = (_pair_values(dataset, fits, (1, 1))
-                      - _pair_values(dataset, fits, (0, 0)))[treated]
-    return c
-
-
-def _positivity_check(dataset, fits, pairs) -> None:
+def _positivity_check(fits: NuisanceFits, pair, h: np.ndarray) -> None:
     bound = 1.0 / fits.config.epsilon ** 3
-    for pair in pairs:
-        h = shift_weight_values(dataset, fits, *pair)
-        worst = float(np.abs(h).max())
-        if worst > bound:
-            warnings.warn(
-                f"shift weight reaches {worst:.3g} under contrast {pair}, "
-                f"beyond 1/epsilon^3 = {bound:.3g}; estimates may be unstable",
-                PositivityDiagnosticWarning, stacklevel=3)
+    worst = float(np.abs(h).max())
+    if worst > bound:
+        warnings.warn(
+            f"shift weight reaches {worst:.3g} under contrast {pair}, "
+            f"beyond 1/epsilon^3 = {bound:.3g}; estimates may be unstable",
+            PositivityDiagnosticWarning, stacklevel=4)
+
+
+def _estimate(dataset: Dataset, fits: NuisanceFits, rule: RuleSpec, contrast: str,
+              z_value: float, pair_values: dict) -> EffectEstimate:
+    """``estimate_effect`` with the (pseudo-outcome, shift weight) of each pair
+    taken from, or added to, ``pair_values``."""
+    d = rule.values(dataset)
+    if contrast not in CONTRASTS:
+        raise ValueError(f"unknown contrast {contrast!r}; choose from {tuple(CONTRASTS)}")
+    minuend, subtrahend, by_rule = CONTRASTS[contrast]
+    treated = d == 1
+    if by_rule and not np.any(treated):
+        c = np.zeros(dataset.n)  # both arms coincide row-wise: exact zero
+    else:
+        for pair in (minuend, subtrahend):
+            if pair not in pair_values:
+                pair_values[pair] = pseudo_outcome_and_weight(dataset, fits, *pair)
+        for pair in sorted((minuend, subtrahend)):
+            _positivity_check(fits, pair, pair_values[pair][1])
+        c = pair_values[minuend][0] - pair_values[subtrahend][0]
+        if by_rule:
+            c = np.where(treated, c, 0.0)
+    w = dataset.weights
+    wsum = float(np.sum(w))
+    point = float(np.sum(w * c) / wsum)
+    var = float(np.sum(w * (c - point) ** 2) / wsum)
+    se = float(np.sqrt(var / dataset.n))
+    return EffectEstimate(contrast=contrast, rule=rule.label,
+                          arms=_arms(contrast), estimate=point,
+                          se=se, ci_low=point - z_value * se,
+                          ci_high=point + z_value * se, n=dataset.n,
+                          folds=fits.plan.folds)
 
 
 def estimate_effect(dataset: Dataset, fits: NuisanceFits, rule: RuleSpec,
@@ -125,38 +135,15 @@ def estimate_effect(dataset: Dataset, fits: NuisanceFits, rule: RuleSpec,
     The point is the weighted mean of the per-row contrast; the variance is
     the weighted (Hajek-centered) sample variance of that contrast over n.
     """
-    d = rule.values(dataset)
-    pairs_of = {"piie": {(1, 1), (1, 0)}, "pite": {(1, 1), (0, 0)},
-                "indirect": {(1, 1), (1, 0)}, "direct": {(1, 0), (0, 0)},
-                "total": {(1, 1), (0, 0)}}
-    if contrast not in pairs_of:
-        raise ValueError(f"unknown contrast {contrast!r}; choose from {CONTRASTS}")
-    used_pairs = pairs_of[contrast]
-    if contrast not in ("piie", "pite") and not np.any(d == 1):
-        used_pairs = set()
-    c = _row_contrast(dataset, fits, d, contrast)
-    if used_pairs:
-        _positivity_check(dataset, fits, sorted(used_pairs))
-    w = dataset.weights
-    wsum = float(np.sum(w))
-    point = float(np.sum(w * c) / wsum)
-    var = float(np.sum(w * (c - point) ** 2) / wsum)
-    se = float(np.sqrt(var / dataset.n))
-    return EffectEstimate(contrast=contrast, rule=rule.label,
-                          arms=ARMS[contrast], estimate=point,
-                          se=se, ci_low=point - z_value * se,
-                          ci_high=point + z_value * se, n=dataset.n,
-                          folds=fits.plan.folds)
+    return _estimate(dataset, fits, rule, contrast, z_value, {})
 
 
 def effect_table(dataset: Dataset, fits: NuisanceFits, rules,
                  contrasts=("indirect", "total"),
                  z_value: float = 1.96) -> list[EffectEstimate]:
     """One estimate per (rule, contrast): the interventional indirect and
-    total effects for each rule type, mirroring a forest-plot layout."""
-    out = []
-    for rule in rules:
-        for contrast in contrasts:
-            out.append(estimate_effect(dataset, fits, rule, contrast,
-                                       z_value=z_value))
-    return out
+    total effects for each rule type, mirroring a forest-plot layout. Each
+    contrast pair's pseudo-outcomes are computed once per call."""
+    pair_values = {}
+    return [_estimate(dataset, fits, rule, contrast, z_value, pair_values)
+            for rule in rules for contrast in contrasts]

@@ -9,12 +9,11 @@ complement of its fold, so no pseudo-outcome depends on the row's own target.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .crossfit import CrossFitPlan
+from .crossfit import CrossFitPlan, fit_folds, out_of_fold
 from .data import Dataset, feature_block
 from .errors import (
     ClippingSaturationWarning,
@@ -58,7 +57,7 @@ class FoldModels:
 
 @dataclass
 class NuisanceFits:
-    """Fitted nuisances plus cached out-of-fold row evaluations.
+    """Fitted nuisances plus their out-of-fold evaluation at every row.
 
     ``z_given_a1[i, a]`` is the clipped P(Z=1 | A=a, W_i); ``outcome_az[i, a,
     z]`` is the outcome regression at (a, z) with the row's (M, W); the
@@ -76,7 +75,6 @@ class NuisanceFits:
     u_vals: dict
     v_vals: dict
     clip_fractions: dict
-    pseudo_cache: dict = field(default_factory=dict)
 
     @property
     def pairs(self) -> tuple:
@@ -95,20 +93,36 @@ def _prob_of(p1: np.ndarray, a: int) -> np.ndarray:
     return p1 if a == 1 else 1.0 - p1
 
 
-def _with_consts(consts: list[float], blocks: list[np.ndarray], rows=None) -> np.ndarray:
-    parts = []
-    some = blocks[0] if blocks else None
-    n = some.shape[0] if rows is None else len(rows)
-    for c in consts:
-        parts.append(np.full(n, float(c)))
-    for b in blocks:
-        parts.append(b if rows is None else b[rows])
-    return np.column_stack(parts)
+def _with_consts(consts: list[float], blocks: list[np.ndarray], rows) -> np.ndarray:
+    return np.column_stack([np.full(len(rows), float(c)) for c in consts]
+                           + [b[rows] for b in blocks])
+
+
+def _shift_weight(g1, e1, q1, r1, z, a_prime: int, a_star: int) -> np.ndarray:
+    """h = [g(a')/g(a*)] [q(z|a')/r(z|a',m)] [e(a*|m)/e(a'|m)] at each row's
+    observed z, from P(A=1|W), P(A=1|M,W), P(Z=1|a',W) and P(Z=1|a',M,W)."""
+    q_obs = np.where(z == 1.0, q1, 1.0 - q1)
+    r_obs = np.where(z == 1.0, r1, 1.0 - r1)
+    return (_prob_of(g1, a_prime) / _prob_of(g1, a_star)) * (q_obs / r_obs) \
+        * (_prob_of(e1, a_star) / _prob_of(e1, a_prime))
+
+
+def _plugin(b: np.ndarray, q1: np.ndarray, a_prime: int) -> np.ndarray:
+    """sum_z b(a', z) q(z | a'): the outcome regression averaged over Z."""
+    return b[:, a_prime, 1] * q1[:, a_prime] + b[:, a_prime, 0] * (1.0 - q1[:, a_prime])
+
+
+def _roles(values: np.ndarray) -> dict[str, np.ndarray]:
+    """Name the columns of fit_nuisances' evaluate(): g, e, q[., arm],
+    r[., arm] and b[., arm, z]."""
+    return {"propensity": values[:, 0], "propensity_given_m": values[:, 1],
+            "z_given_a": values[:, 2:4], "z_given_am": values[:, 4:6],
+            "outcome": values[:, 6:10].reshape(-1, 2, 2)}
 
 
 def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
                   config: NuisanceConfig | None = None) -> NuisanceFits:
-    """Fit every nuisance with cross-fitting and cache row-level evaluations.
+    """Fit every nuisance with cross-fitting and evaluate it out of fold.
 
     Raises DegenerateFold when a training fold misses a treatment or
     post-treatment level, and warns when more than 5% of any probability
@@ -124,6 +138,7 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
     ys = (y - lo) / (hi - lo)
     Wb, _ = feature_block(dataset, schema.baseline)
     Mb, _ = feature_block(dataset, schema.mediators)
+    MWb = np.column_stack([Mb, Wb])
     eps = config.epsilon
 
     for j in range(plan.folds):
@@ -132,101 +147,69 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
             if len(np.unique(col[tr])) < 2:
                 raise DegenerateFold(j, name)
 
-    def fit_fold(j: int) -> FoldModels:
-        tr = plan.train_indices(j)
-        stack = config.stack
-        folds = config.stack_folds
-        m_g = fit_stack(stack, Wb[tr], a[tr], w[tr], folds=folds,
-                        seed=_seed(config.seed, j, 0))
-        m_e = fit_stack(stack, np.column_stack([Mb, Wb])[tr], a[tr], w[tr],
-                        folds=folds, seed=_seed(config.seed, j, 1))
-        m_q = fit_stack(stack, np.column_stack([a[:, None], Wb])[tr], z[tr], w[tr],
-                        folds=folds, seed=_seed(config.seed, j, 2))
-        m_r = fit_stack(stack, np.column_stack([a[:, None], Mb, Wb])[tr], z[tr],
-                        w[tr], folds=folds, seed=_seed(config.seed, j, 3))
-        m_b = fit_stack(stack, np.column_stack([a[:, None], z[:, None], Mb, Wb])[tr],
-                        ys[tr], w[tr], folds=folds, seed=_seed(config.seed, j, 4))
-
-        def b_at(az, zz, rows):
-            pred = m_b.predict(_with_consts([az, zz], [Mb, Wb], rows))
-            return np.clip(pred * (hi - lo) + lo, lo, hi)
-
-        g1 = _clip_prob(m_g.predict(Wb[tr]), eps)
-        e1 = _clip_prob(m_e.predict(np.column_stack([Mb, Wb])[tr]), eps)
-        projections = {}
-        for k, (ap, st) in enumerate(config.pairs):
-            q1 = _clip_prob(m_q.predict(_with_consts([ap], [Wb], tr)), eps)
-            r1 = _clip_prob(m_r.predict(_with_consts([ap], [Mb, Wb], tr)), eps)
-            z_tr = z[tr]
-            q_obs = np.where(z_tr == 1.0, q1, 1.0 - q1)
-            r_obs = np.where(z_tr == 1.0, r1, 1.0 - r1)
-            h_tr = (_prob_of(g1, ap) / _prob_of(g1, st)) * (q_obs / r_obs) \
-                * (_prob_of(e1, st) / _prob_of(e1, ap))
-            b_obs = np.where(z_tr == 1.0, b_at(ap, 1, tr), b_at(ap, 0, tr))
-
-            sub_u = tr[a[tr] == ap]
-            u_target = (b_obs * h_tr)[a[tr] == ap]
-            m_u = fit_stack(config.stack,
-                            np.column_stack([z[:, None], Wb])[sub_u],
-                            u_target, w[sub_u], folds=config.stack_folds,
-                            seed=_seed(config.seed, j, 5 + 2 * k))
-
-            sub_v = tr[a[tr] == st]
-            q1_v = _clip_prob(m_q.predict(_with_consts([ap], [Wb], sub_v)), eps)
-            v_target = (b_at(ap, 1, sub_v) * q1_v + b_at(ap, 0, sub_v) * (1.0 - q1_v))
-            m_v = fit_stack(config.stack, Wb[sub_v], v_target, w[sub_v],
-                            folds=config.stack_folds,
-                            seed=_seed(config.seed, j, 6 + 2 * k))
-            projections[(ap, st)] = (m_u, m_v)
-        return FoldModels(propensity=m_g, propensity_given_m=m_e, z_given_a=m_q,
-                          z_given_am=m_r, outcome=m_b, projections=projections)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            fold_models = list(pool.map(fit_fold, range(plan.folds)))
-    else:
-        fold_models = [fit_fold(j) for j in range(plan.folds)]
-
-    n = dataset.n
-    propensity1 = np.empty(n)
-    pgm1 = np.empty(n)
-    z_given_a1 = np.empty((n, 2))
-    z_given_am1 = np.empty((n, 2))
-    outcome_az = np.empty((n, 2, 2))
-    u_vals = {pair: np.empty((n, 2)) for pair in config.pairs}
-    v_vals = {pair: np.empty(n) for pair in config.pairs}
-    at_bound = {"propensity": 0, "propensity_given_m": 0, "z_given_a": 0,
-                "z_given_am": 0}
-
-    for j, fm in enumerate(fold_models):
-        va = plan.val_indices(j)
-        g1 = _clip_prob(fm.propensity.predict(Wb[va]), eps)
-        e1 = _clip_prob(fm.propensity_given_m.predict(
-            np.column_stack([Mb, Wb])[va]), eps)
-        propensity1[va] = g1
-        pgm1[va] = e1
-        at_bound["propensity"] += int(np.sum((g1 == eps) | (g1 == 1 - eps)))
-        at_bound["propensity_given_m"] += int(np.sum((e1 == eps) | (e1 == 1 - eps)))
+    def evaluate(fm: FoldModels, rows) -> np.ndarray:
+        """Clipped probabilities and rescaled outcome regression at ``rows``,
+        in the column layout that ``_roles`` names."""
+        cols = [_clip_prob(fm.propensity.predict(Wb[rows]), eps),
+                _clip_prob(fm.propensity_given_m.predict(MWb[rows]), eps)]
+        cols += [_clip_prob(fm.z_given_a.predict(_with_consts([arm], [Wb], rows)), eps)
+                 for arm in (0, 1)]
+        cols += [_clip_prob(fm.z_given_am.predict(_with_consts([arm], [Mb, Wb], rows)), eps)
+                 for arm in (0, 1)]
         for arm in (0, 1):
-            q1 = _clip_prob(fm.z_given_a.predict(_with_consts([arm], [Wb], va)), eps)
-            r1 = _clip_prob(fm.z_given_am.predict(
-                _with_consts([arm], [Mb, Wb], va)), eps)
-            z_given_a1[va, arm] = q1
-            z_given_am1[va, arm] = r1
-            at_bound["z_given_a"] += int(np.sum((q1 == eps) | (q1 == 1 - eps)))
-            at_bound["z_given_am"] += int(np.sum((r1 == eps) | (r1 == 1 - eps)))
             for zz in (0, 1):
-                pred = fm.outcome.predict(_with_consts([arm, zz], [Mb, Wb], va))
-                outcome_az[va, arm, zz] = np.clip(pred * (hi - lo) + lo, lo, hi)
-        for pair, (m_u, m_v) in fm.projections.items():
-            for zz in (0, 1):
-                u_vals[pair][va, zz] = m_u.predict(_with_consts([zz], [Wb], va))
-            v_vals[pair][va] = m_v.predict(Wb[va])
+                pred = fm.outcome.predict(_with_consts([arm, zz], [Mb, Wb], rows))
+                cols.append(np.clip(pred * (hi - lo) + lo, lo, hi))
+        return np.column_stack(cols)
+
+    def fit_fold(j: int, tr: np.ndarray) -> FoldModels:
+        def fit(X, target, rows, role):
+            return fit_stack(config.stack, X[rows], target, w[rows],
+                             folds=config.stack_folds, seed=_seed(config.seed, j, role))
+
+        fm = FoldModels(
+            propensity=fit(Wb, a[tr], tr, 0),
+            propensity_given_m=fit(MWb, a[tr], tr, 1),
+            z_given_a=fit(np.column_stack([a[:, None], Wb]), z[tr], tr, 2),
+            z_given_am=fit(np.column_stack([a[:, None], Mb, Wb]), z[tr], tr, 3),
+            outcome=fit(np.column_stack([a[:, None], z[:, None], Mb, Wb]), ys[tr], tr, 4),
+            projections={})
+        v = _roles(evaluate(fm, tr))
+        z_tr, a_tr = z[tr], a[tr]
+        b_obs = v["outcome"][np.arange(len(tr)), :, z_tr.astype(int)]
+        for k, (ap, st) in enumerate(config.pairs):
+            h_tr = _shift_weight(v["propensity"], v["propensity_given_m"],
+                                 v["z_given_a"][:, ap], v["z_given_am"][:, ap],
+                                 z_tr, ap, st)
+            u_target = (b_obs[:, ap] * h_tr)[a_tr == ap]
+            m_u = fit(np.column_stack([z[:, None], Wb]), u_target, tr[a_tr == ap],
+                      5 + 2 * k)
+            # evaluated on the a = a* rows themselves: a BLAS product's result
+            # for a row can depend on the row's position in the batch
+            sub = _roles(evaluate(fm, tr[a_tr == st]))
+            m_v = fit(Wb, _plugin(sub["outcome"], sub["z_given_a"], ap), tr[a_tr == st],
+                      6 + 2 * k)
+            fm.projections[(ap, st)] = (m_u, m_v)
+        return fm
+
+    fold_models = fit_folds(plan, fit_fold, threads=config.threads)
+
+    def project(fm: FoldModels, rows) -> np.ndarray:
+        cols = []
+        for m_u, m_v in fm.projections.values():
+            cols += [m_u.predict(_with_consts([zz], [Wb], rows)) for zz in (0, 1)]
+            cols.append(m_v.predict(Wb[rows]))
+        return np.column_stack(cols)
+
+    values = _roles(out_of_fold(plan, fold_models, evaluate))
+    uv = out_of_fold(plan, fold_models, project)
+    u_vals = {pair: uv[:, 3 * k:3 * k + 2] for k, pair in enumerate(config.pairs)}
+    v_vals = {pair: uv[:, 3 * k + 2] for k, pair in enumerate(config.pairs)}
 
     clip_fractions = {}
-    for role, count in at_bound.items():
-        denom = n * (2 if role.startswith("z_") else 1)
-        frac = count / denom
+    for role in ("propensity", "propensity_given_m", "z_given_a", "z_given_am"):
+        arr = values[role]
+        frac = np.count_nonzero((arr == eps) | (arr == 1 - eps)) / arr.size
         clip_fractions[role] = frac
         if frac > 0.05:
             warnings.warn(
@@ -234,9 +217,10 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
                 ClippingSaturationWarning, stacklevel=2)
 
     return NuisanceFits(plan=plan, config=config, fold_models=fold_models,
-                        propensity1=propensity1, propensity_given_m1=pgm1,
-                        z_given_a1=z_given_a1, z_given_am1=z_given_am1,
-                        outcome_az=outcome_az, u_vals=u_vals, v_vals=v_vals,
+                        propensity1=values["propensity"],
+                        propensity_given_m1=values["propensity_given_m"],
+                        z_given_a1=values["z_given_a"], z_given_am1=values["z_given_am"],
+                        outcome_az=values["outcome"], u_vals=u_vals, v_vals=v_vals,
                         clip_fractions=clip_fractions)
 
 
@@ -248,19 +232,15 @@ def shift_weight_values(dataset: Dataset, fits: NuisanceFits,
     propensity ratios cancel to exactly one and h reduces to q/r.
     """
     z = dataset.column(dataset.schema.post_treatment).astype(float)
-    g_num = _prob_of(fits.propensity1, a_prime)
-    g_den = _prob_of(fits.propensity1, a_star)
-    q1 = fits.z_given_a1[:, a_prime]
-    r1 = fits.z_given_am1[:, a_prime]
-    q_obs = np.where(z == 1.0, q1, 1.0 - q1)
-    r_obs = np.where(z == 1.0, r1, 1.0 - r1)
-    e_num = _prob_of(fits.propensity_given_m1, a_star)
-    e_den = _prob_of(fits.propensity_given_m1, a_prime)
-    return (g_num / g_den) * (q_obs / r_obs) * (e_num / e_den)
+    return _shift_weight(fits.propensity1, fits.propensity_given_m1,
+                         fits.z_given_a1[:, a_prime], fits.z_given_am1[:, a_prime],
+                         z, a_prime, a_star)
 
 
-def _pseudo_terms(dataset: Dataset, fits: NuisanceFits,
-                  a_prime: int, a_star: int) -> dict[str, np.ndarray]:
+def pseudo_outcome_and_weight(dataset: Dataset, fits: NuisanceFits, a_prime: int,
+                              a_star: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row pseudo-outcomes for one contrast pair and the shift weight h
+    they use, computed from (dataset, fits) on every call."""
     pair = (a_prime, a_star)
     if pair not in fits.u_vals:
         raise MissingArm(pair)
@@ -277,38 +257,29 @@ def _pseudo_terms(dataset: Dataset, fits: NuisanceFits,
     g_st = _prob_of(fits.propensity1, a_star)
     q1 = fits.z_given_a1[:, a_prime]
     h = shift_weight_values(dataset, fits, a_prime, a_star)
-    zi = z.astype(int)
-    b_obs = fits.outcome_az[np.arange(dataset.n), a_prime, zi]
+    b_obs = fits.outcome_az[np.arange(dataset.n), a_prime, z.astype(int)]
     u = fits.u_vals[pair]
     v = fits.v_vals[pair]
-    plug = fits.outcome_az[:, a_prime, 1] * q1 + fits.outcome_az[:, a_prime, 0] * (1.0 - q1)
-
-    return {
+    terms = {
         "outcome_residual": ind_ap / g_ap * h * (y - b_obs),
         "z_residual": ind_ap / g_ap * (u[:, 1] - u[:, 0]) * (z - q1),
-        "plugin_centered": ind_st / g_st * (plug - v),
+        "plugin_centered": ind_st / g_st * (_plugin(fits.outcome_az, fits.z_given_a1,
+                                                    a_prime) - v),
         "projection": v,
-        "_shift_weight": h,
     }
-
-
-def pseudo_outcome_values(dataset: Dataset, fits: NuisanceFits,
-                          a_prime: int, a_star: int) -> np.ndarray:
-    """Vectorized per-row pseudo-outcomes for one contrast pair (cached)."""
-    pair = (a_prime, a_star)
-    if pair in fits.pseudo_cache:
-        return fits.pseudo_cache[pair]
-    terms = _pseudo_terms(dataset, fits, a_prime, a_star)
     total = np.zeros(dataset.n)
     for name, arr in terms.items():
-        if name.startswith("_"):
-            continue
         bad = np.nonzero(~np.isfinite(arr))[0]
         if bad.size:
             raise NonFinitePseudoOutcome(name, int(bad[0]))
         total += arr
-    fits.pseudo_cache[pair] = total
-    return total
+    return total, h
+
+
+def pseudo_outcome_values(dataset: Dataset, fits: NuisanceFits,
+                          a_prime: int, a_star: int) -> np.ndarray:
+    """Vectorized per-row pseudo-outcomes for one contrast pair."""
+    return pseudo_outcome_and_weight(dataset, fits, a_prime, a_star)[0]
 
 
 def pseudo_outcome(dataset: Dataset, i: int, fits: NuisanceFits,
@@ -336,11 +307,9 @@ class PseudoOutcomes:
 def pseudo_contrast(dataset: Dataset, fits: NuisanceFits) -> PseudoOutcomes:
     """D = D^(1,1) - D^(1,0): the unbiased transform whose conditional mean
     given V is the blip."""
-    d11 = pseudo_outcome_values(dataset, fits, 1, 1)
-    d10 = pseudo_outcome_values(dataset, fits, 1, 0)
-    h_range = {}
-    for pair in ((1, 1), (1, 0)):
-        h = shift_weight_values(dataset, fits, *pair)
-        h_range[pair] = (float(h.min()), float(h.max()))
+    d11, h11 = pseudo_outcome_and_weight(dataset, fits, 1, 1)
+    d10, h10 = pseudo_outcome_and_weight(dataset, fits, 1, 0)
+    h_range = {(1, 1): (float(h11.min()), float(h11.max())),
+               (1, 0): (float(h10.min()), float(h10.max()))}
     return PseudoOutcomes(d11=d11, d10=d10, values=d11 - d10,
                           fold=fits.plan.assignment.copy(), h_range=h_range)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .crossfit import crossfit_predict, make_plan
 from .errors import DroppedMemberWarning, NonFiniteFeature, SingularDesignWarning
 
 IRLS_MAX_ITER = 100
@@ -57,14 +58,6 @@ def _wmean(y, w) -> float:
 
 def _expit(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
-
-
-def _fold_ids(n: int, folds: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    ids = np.empty(n, dtype=int)
-    ids[perm] = np.arange(n) % folds
-    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +365,15 @@ class PenalizedLearner:
     def _cv_lambda(self, Xk, y, w, pw, lams, seed) -> float:
         n = len(y)
         folds = min(self.cv_folds, n)
-        ids = _fold_ids(n, folds, seed)
+        plan = make_plan(n, folds, seed)
         risks = np.zeros((folds, len(lams)))
         for j in range(folds):
-            tr, va = ids != j, ids == j
+            tr, va = plan.train_indices(j), plan.val_indices(j)
             ytr, wtr = y[tr], w[tr]
             ybar = _wmean(ytr, wtr)
             Xs, mu, sd, keep = _weighted_standardize(Xk[tr], wtr)
             if Xs.shape[1] == 0:
-                preds = [np.full(int(va.sum()), ybar)] * len(lams)
+                preds = [np.full(len(va), ybar)] * len(lams)
             else:
                 betas = self._path(Xs, ytr - ybar, wtr, pw[keep], lams)
                 Xva = (Xk[va][:, keep] - mu[keep]) / sd[keep]
@@ -499,10 +492,10 @@ class GBStumpLearner:
         n = len(y)
         rounds = self.max_rounds
         if self.cv_folds >= 2 and n >= 2 * self.cv_folds:
-            ids = _fold_ids(n, self.cv_folds, seed)
+            plan = make_plan(n, self.cv_folds, seed)
             losses = np.full((self.cv_folds, self.max_rounds), np.nan)
             for j in range(self.cv_folds):
-                tr, va = ids != j, ids == j
+                tr, va = plan.train_indices(j), plan.val_indices(j)
                 _, _, val = self._boost(X[tr], y[tr], w[tr], binary,
                                         X[va], y[va], w[va])
                 losses[j, :len(val)] = val
@@ -664,17 +657,16 @@ def fit_stack(members, X, y, w=None, folds: int = 5, seed: int = 0) -> StackedEn
                                weights=np.array([1.0]), cv_risks=None,
                                stack_cv_risk=None, binary=binary, lo=lo, hi=hi)
 
-    folds = min(folds, n)
-    ids = _fold_ids(n, folds, seed)
+    plan = make_plan(n, min(folds, n), seed)
     preds = np.empty((n, len(members)))
     kept, dropped = [], []
     for mi, member in enumerate(members):
         try:
-            for j in range(folds):
-                tr, va = ids != j, ids == j
-                model = member.fit(X[tr], y[tr], w[tr],
-                                   seed=seed * 1_000_003 + mi * 101 + j)
-                preds[va, mi] = model.predict(X[va])
+            preds[:, mi] = crossfit_predict(
+                plan,
+                lambda j, tr: member.fit(X[tr], y[tr], w[tr],
+                                         seed=seed * 1_000_003 + mi * 101 + j),
+                lambda model, va: model.predict(X[va]))
             kept.append(mi)
         except Exception as exc:  # noqa: BLE001 - any member failure drops it
             dropped.append(member.name)

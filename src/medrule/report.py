@@ -106,6 +106,13 @@ def _pair_key(pair) -> str:
     return f"{pair[0]},{pair[1]}"
 
 
+def _shift_weight_range(dataset, fits, pseudo, pair) -> tuple[float, float]:
+    if pair in pseudo.h_range:
+        return pseudo.h_range[pair]
+    h = shift_weight_values(dataset, fits, *pair)
+    return float(h.min()), float(h.max())
+
+
 def run_pipeline(config: RunConfig, write: bool = True) -> dict:
     """Ingest, cross-fit, estimate and report; returns the report dict.
 
@@ -151,9 +158,9 @@ def run_pipeline(config: RunConfig, write: bool = True) -> dict:
         "diagnostics": {
             "clip_fractions": {k: float(v) for k, v in fits.clip_fractions.items()},
             "shift_weight_range": {
-                _pair_key(p): {"min": float(shift_weight_values(dataset, fits, *p).min()),
-                               "max": float(shift_weight_values(dataset, fits, *p).max())}
-                for p in sorted(fits.u_vals)
+                _pair_key(p): dict(zip(("min", "max"), _shift_weight_range(
+                    dataset, fits, pseudo, p)))
+                for p in sorted(fits.pairs)
             },
             "warnings": sorted({f"{w.category.__name__}: {w.message}" for w in caught}),
         },

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossfit import CrossFitPlan
+from .crossfit import CrossFitPlan, fit_folds, out_of_fold
 from .data import Dataset, feature_block
 from .errors import SchemaMismatch
 from .eif import PseudoOutcomes
@@ -52,12 +52,8 @@ def fit_blip(pseudo: PseudoOutcomes, dataset: Dataset, plan: CrossFitPlan,
     d = pseudo.values
     w = dataset.weights
     if method == "stack":
-        fold_models = []
-        for j in range(plan.folds):
-            tr = plan.train_indices(j)
-            fold_models.append(fit_stack(stack, Xv[tr], d[tr], w[tr],
-                                         folds=stack_folds,
-                                         seed=abs(seed * 7_919 + j)))
+        fold_models = fit_folds(plan, lambda j, tr: fit_stack(
+            stack, Xv[tr], d[tr], w[tr], folds=stack_folds, seed=abs(seed * 7_919 + j)))
         return BlipModel(method="stack", covariates=tuple(names), plan=plan,
                          fold_models=fold_models)
     if method == "adaptive-lasso":
@@ -98,10 +94,8 @@ def assign_subgroup(blip: BlipModel, dataset: Dataset) -> SubgroupAssignment:
     if blip.method == "stack":
         if dataset.n != blip.plan.n:
             raise SchemaMismatch("dataset does not match the cross-fit plan")
-        values = np.empty(dataset.n)
-        for j, model in enumerate(blip.fold_models):
-            va = blip.plan.val_indices(j)
-            values[va] = model.predict(Xv[va])
+        values = out_of_fold(blip.plan, blip.fold_models,
+                             lambda model, va: model.predict(Xv[va]))
         detail = None
     else:
         values = blip.model.predict(Xv)

@@ -88,8 +88,7 @@ def test_missing_arm_surfaces(big_run):
     fits = dataclasses.replace(
         big_run.fits,
         u_vals={(1, 1): big_run.fits.u_vals[(1, 1)]},
-        v_vals={(1, 1): big_run.fits.v_vals[(1, 1)]},
-        pseudo_cache={})
+        v_vals={(1, 1): big_run.fits.v_vals[(1, 1)]})
     with pytest.raises(MissingArm):
         estimate_effect(big_run.dataset, fits, constant_rule(1), "piie")
 
@@ -166,7 +165,20 @@ def test_positivity_diagnostic_warning(big_run):
     # force an extreme shift weight through an unclipped second Z-model
     fits = dataclasses.replace(
         big_run.fits,
-        z_given_am1=np.full_like(big_run.fits.z_given_am1, 1e-9),
-        pseudo_cache={})
+        z_given_am1=np.full_like(big_run.fits.z_given_am1, 1e-9))
     with pytest.warns(PositivityDiagnosticWarning):
         estimate_effect(big_run.dataset, fits, constant_rule(1), "piie")
+
+
+def test_arm_labels_and_unknown_contrast(big_run):
+    expected = {"indirect": "(d,d)-(d,0)", "direct": "(d,0)-(0,0)",
+                "total": "(d,d)-(0,0)", "piie": "(1,1)-(1,0)",
+                "pite": "(1,1)-(0,0)"}
+    for contrast, arms in expected.items():
+        est = estimate_effect(big_run.dataset, big_run.fits, constant_rule(1),
+                              contrast)
+        assert est.arms == arms
+    with pytest.raises(ValueError) as err:
+        estimate_effect(big_run.dataset, big_run.fits, constant_rule(1), "nde")
+    for contrast in expected:
+        assert repr(contrast) in str(err.value)

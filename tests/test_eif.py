@@ -146,8 +146,7 @@ def test_degenerate_fold_raises(crossover):
 def test_non_finite_pseudo_outcome_reported(big_run):
     import dataclasses
     fits = big_run.fits
-    broken = dataclasses.replace(fits, v_vals={p: v.copy() for p, v in fits.v_vals.items()},
-                                 pseudo_cache={})
+    broken = dataclasses.replace(fits, v_vals={p: v.copy() for p, v in fits.v_vals.items()})
     broken.v_vals[(1, 1)][5] = np.nan
     with pytest.raises(NonFinitePseudoOutcome) as err:
         pseudo_outcome_values(big_run.dataset, broken, 1, 1)
@@ -177,3 +176,19 @@ def test_identical_rows_get_identical_transform_values(crossover):
     nuis = derive_true_nuisances(crossover, 1, 0)
     vals = oracle_pseudo_values(crossover, nuis, ds)
     assert np.all(vals == vals[0])
+
+
+def test_pseudo_outcomes_follow_the_dataset_passed(big_run):
+    # the same rows with Y -> 1 - Y, evaluated with A's nuisances: nothing
+    # computed for A may be served for B
+    from medrule import constant_rule, estimate_effect
+    ds_a = big_run.dataset
+    table = {name: ds_a.column(name) for name in ds_a.schema.all_columns}
+    table["Y"] = 1.0 - table["Y"]
+    ds_b = validate_dataset(table, ds_a.schema)
+    d_a = pseudo_outcome_values(ds_a, big_run.fits, 1, 1)
+    d_b = pseudo_outcome_values(ds_b, big_run.fits, 1, 1)
+    assert not np.array_equal(d_a, d_b)
+    est_a = estimate_effect(ds_a, big_run.fits, constant_rule(1), "piie")
+    est_b = estimate_effect(ds_b, big_run.fits, constant_rule(1), "piie")
+    assert est_a.estimate != est_b.estimate
