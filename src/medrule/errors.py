@@ -116,3 +116,7 @@ class PositivityDiagnosticWarning(EstimationWarning):
 
 class DroppedMemberWarning(EstimationWarning):
     pass
+
+
+class ConvergenceWarning(EstimationWarning):
+    """An iterative solver stopped at its iteration cap; its last iterate is used."""

@@ -3,23 +3,26 @@
 Every learner exposes ``fit(X, y, w, seed) -> model`` with ``model.predict(X)``
 and is deterministic given (data, weights, seed). Binary {0,1} targets are fit
 as probabilities and predictions are clipped to [0, 1]; continuous targets are
-clipped to the observed training range expanded by 10%.
+clipped to the observed training range expanded by 10%. Stack weights are the
+exact simplex-constrained least-squares solution; ties go to the fewest members,
+then the earliest in stack order. Solvers that stop at a cap warn.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crossfit import crossfit_predict, make_plan
-from .errors import DroppedMemberWarning, NonFiniteFeature, SingularDesignWarning
+from .errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
+                     SingularDesignWarning)
 
 IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
 CD_MAX_ITER = 1000
 N_LAMBDAS = 50
-STACK_TOL = 1e-11
 SATURATED_MAX_FEATURES = 10
 
 
@@ -223,6 +226,9 @@ class GLMLearner:
             beta = new
             if delta < IRLS_TOL:
                 break
+        else:
+            warnings.warn(f"IRLS reached its iteration cap ({IRLS_MAX_ITER}) without "
+                          "converging", ConvergenceWarning, stacklevel=3)
         return beta, singular
 
 
@@ -271,6 +277,9 @@ def _cd_solve(Xs, r, beta, w, wsum, lam, l1_ratio, pw, tol):
                 delta = max(delta, abs(new - bj))
         if delta < tol:
             break
+    else:
+        warnings.warn(f"coordinate descent reached its sweep cap ({CD_MAX_ITER}) "
+                      "without converging", ConvergenceWarning, stacklevel=2)
     return beta, r
 
 
@@ -574,46 +583,31 @@ def fit_learner(learner, X, y, w=None, seed: int = 0):
 # ---------------------------------------------------------------------------
 # stacking ensemble
 
-def _proj_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(v) + 1)
-    cond = u - (css - 1.0) / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = (css[rho] - 1.0) / (rho + 1)
-    return np.maximum(v - tau, 0.0)
-
-
 def _simplex_lsq(P: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least squares over the probability simplex.
-
-    Accelerated projected gradient with adaptive restart; the problem is a
-    tiny convex QP (one variable per stack member), solved far below the
-    1e-8 contract tolerance.
-    """
+    """Exact weighted least squares over the probability simplex: the KKT solution
+    of ``[Q_SS 1; 1' 0][a; mu] = [c_S; 1]`` on each face S in fit_stack's order,
+    skipping singular systems and any weight <= 0 (a boundary optimum reappears
+    on a smaller face), ranked by the risk computed from ``P`` itself."""
     wn = w / np.sum(w)
     Q = P.T @ (P * wn[:, None])
     c = P.T @ (wn * y)
-    L = 2.0 * max(float(np.linalg.eigvalsh(Q)[-1]), 1e-12)
     k = P.shape[1]
-    alpha = np.full(k, 1.0 / k)
-    momentum = alpha.copy()
-    t = 1.0
-    for _ in range(100_000):
-        grad = 2.0 * (Q @ momentum - c)
-        new = _proj_simplex(momentum - grad / L)
-        if float(np.max(np.abs(new - alpha))) < STACK_TOL:
-            return new
-        # restart the momentum sequence when it points uphill
-        if float(np.dot(momentum - new, new - alpha)) > 0.0:
-            t = 1.0
-            momentum = new
-        else:
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            momentum = new + ((t - 1.0) / t_next) * (new - alpha)
-            t = t_next
-        alpha = new
-    return alpha
+    best, best_risk = None, np.inf
+    faces = (list(f) for m in range(1, k + 1) for f in itertools.combinations(range(k), m))
+    for S in faces:
+        kkt = np.ones((len(S) + 1, len(S) + 1))
+        kkt[:-1, :-1] = Q[np.ix_(S, S)]
+        kkt[-1, -1] = 0.0
+        try:
+            a = np.linalg.solve(kkt, np.append(c[S], 1.0))[:-1]
+        except np.linalg.LinAlgError:
+            continue
+        alpha = np.zeros(k)
+        alpha[S] = a
+        risk = float(np.sum(wn * (y - P @ alpha) ** 2))
+        if np.all(a > 0.0) and risk < best_risk * (1.0 - 1e-12):
+            best, best_risk = alpha, risk
+    return best
 
 
 @dataclass
@@ -638,10 +632,12 @@ class StackedEnsemble:
 
 
 def fit_stack(members, X, y, w=None, folds: int = 5, seed: int = 0) -> StackedEnsemble:
-    """Convex stacking: member weights solve the simplex-constrained weighted
-    least-squares problem over cross-validated member predictions. A member
-    that fails to fit is dropped with a warning. A single member short-circuits
-    to weight one."""
+    """Convex stacking: member weights are the exact simplex-constrained weighted
+    least-squares fit to cross-validated member predictions. Tie-break: a face of
+    the simplex (tried by size, then in stack order) replaces the incumbent only
+    if its CV risk is lower by more than a relative 1e-12, so tied optima go to
+    the fewest members, then the earliest in stack order. A member that fails to
+    fit is dropped with a warning. A single member short-circuits to weight one."""
     if not members:
         raise ValueError("the stack needs at least one member")
     members = [make_learner(m) if isinstance(m, str) else m for m in members]

@@ -5,7 +5,8 @@ Run from the repo root after any intentional change to the estimation path:
 The inputs (simulation seed 11, run seed 2, five folds, mean/glm/glm_sat
 stack) must stay in sync with test_report.test_effect_table_matches_committed_golden.
 The last digits of the table depend on the BLAS build and CPU kernel, so the
-script prints the toolchain it ran on; record it with the regeneration.
+script prints the toolchain it ran on and, per float field, the largest
+absolute change from the committed table; record both with the regeneration.
 """
 import ctypes
 import json
@@ -34,6 +35,16 @@ def print_toolchain() -> None:
             print(f"openblas kernel: {get_core().decode()}")
 
 
+def print_deltas(new: list, old: list) -> None:
+    if len(new) != len(old):
+        print(f"row count changed: {len(old)} -> {len(new)}")
+        return
+    for key in ("estimate", "se", "ci_low", "ci_high"):
+        deltas = [abs(a[key] - b[key]) for a, b in zip(new, old)]
+        moved = sum(d > 0.0 for d in deltas)
+        print(f"{key}: max |delta| {max(deltas):.3g}, {moved} of {len(deltas)} rows moved")
+
+
 def main() -> None:
     print_toolchain()
     here = Path(__file__).parent
@@ -54,8 +65,10 @@ def main() -> None:
         (tmp / "config.json").write_text(json.dumps(config))
         run_pipeline(load_config(tmp / "config.json"))
         golden = (tmp / "out" / "effects.json").read_text()
-    (here / "golden_effects.json").write_text(golden)
-    print(f"wrote {here / 'golden_effects.json'}")
+    path = here / "golden_effects.json"
+    print_deltas(json.loads(golden), json.loads(path.read_text()))
+    path.write_text(golden)
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from medrule import fit_adaptive_lasso, fit_learner, fit_stack, make_learner
-from medrule.errors import DroppedMemberWarning, NonFiniteFeature, SingularDesignWarning
+from medrule import learners
+from medrule.errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
+                            SingularDesignWarning)
 from medrule.learners import GLMLearner, PenalizedLearner, _simplex_lsq
 
 
@@ -41,6 +43,28 @@ def test_glm_collinear_falls_back_to_ridge():
         model = fit_learner("glm", X, 3.0 * x[:, 0])
     assert model.singular_fallback
     assert np.all(np.isfinite(model.predict(X)))
+
+
+def test_irls_warns_at_iteration_cap(monkeypatch):
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(500, 1))
+    y = (rng.random(500) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
+    monkeypatch.setattr(learners, "IRLS_MAX_ITER", 1)
+    with pytest.warns(ConvergenceWarning) as record:
+        fit_learner("glm", x, y)
+    assert [str(r.message) for r in record] == [
+        "IRLS reached its iteration cap (1) without converging"]
+
+
+def test_coordinate_descent_warns_at_sweep_cap(monkeypatch):
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(200, 3))
+    y = X @ np.array([1.0, -1.0, 0.5]) + 0.1 * rng.normal(size=200)
+    monkeypatch.setattr(learners, "CD_MAX_ITER", 1)
+    with pytest.warns(ConvergenceWarning) as record:
+        PenalizedLearner(l1_ratio=1.0, lam=0.01).fit(X, y)
+    assert {str(r.message) for r in record} == {
+        "coordinate descent reached its sweep cap (1) without converging"}
 
 
 def test_non_finite_feature_rejected():
@@ -207,6 +231,52 @@ def test_simplex_solver_on_correlated_members():
     assert alpha.min() >= 0 and alpha.sum() == pytest.approx(1.0, abs=1e-9)
     risks = [np.mean((y - P[:, k]) ** 2) for k in range(3)]
     assert np.mean((y - P @ alpha) ** 2) <= min(risks) + 1e-8
+
+
+def _simplex_case(rng, k, target):
+    """Random members P (n=400, weighted) and a target whose simplex optimum
+    lies in the interior, on the edge {0, 1} or at the vertex 0."""
+    n = 400
+    P = rng.normal(size=(n, k))
+    if target == "interior":
+        beta = rng.dirichlet(np.full(k, 5.0))
+    elif target == "edge":
+        beta = np.r_[0.7, 0.7, np.full(k - 2, -0.4 / (k - 2))]
+    else:
+        beta = np.r_[1.5, np.full(k - 1, -0.5 / (k - 1))]
+    y = P @ beta + 0.1 * rng.normal(size=n)
+    return P, y, rng.uniform(0.5, 2.0, size=n)
+
+
+# with two members the edge {0, 1} is the whole simplex
+@pytest.mark.parametrize("k,target", [(k, t) for k in range(2, 7)
+                                      for t in ("interior", "edge", "vertex")
+                                      if (k, t) != (2, "edge")])
+def test_simplex_solver_meets_kkt_certificate(k, target):
+    P, y, w = _simplex_case(np.random.default_rng(100 + k), k, target)
+    alpha = _simplex_lsq(P, y, w)
+    support = np.flatnonzero(alpha)
+    expected = {"interior": np.arange(k), "edge": [0, 1], "vertex": [0]}[target]
+    assert np.array_equal(support, expected)
+    assert np.all(alpha >= 0.0)
+    assert abs(alpha.sum() - 1.0) <= 1e-12
+    wn = w / w.sum()
+    g = P.T @ (wn * (P @ alpha)) - P.T @ (wn * y)
+    # stationarity on the support, and no descent direction off it
+    assert np.ptp(g[support]) <= 1e-10
+    assert np.all(np.delete(g, support) >= g[support].max() - 1e-10)
+
+
+def test_simplex_tie_break_prefers_fewest_then_earliest_member():
+    rng = np.random.default_rng(27)
+    base = rng.normal(size=2000)
+    P = np.column_stack([base, base, 0.5 * base])
+    y = 2.0 * base + 0.05 * rng.normal(size=2000)
+    # every weight vector with alpha[2] == 0 attains the optimum
+    assert np.array_equal(_simplex_lsq(P, y, np.ones(2000)), [1.0, 0.0, 0.0])
+    X = rng.normal(size=(300, 2))
+    stack = fit_stack(["mean", "mean"], X, X[:, 0] + rng.normal(size=300), seed=4)
+    assert np.array_equal(stack.weights, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
