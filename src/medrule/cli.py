@@ -7,7 +7,6 @@ population effects), ``plot`` (forest plot from an effects.json).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,8 +21,6 @@ from .report import PipelineError, load_config, run_pipeline
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
-        if args.threads is not None:
-            config = dataclasses.replace(config, threads=args.threads)
     except (MedruleError, OSError, json.JSONDecodeError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 1
@@ -103,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full pipeline from a JSON config")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="cap on worker threads (overrides the config)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sim = sub.add_parser("simulate", help="sample a CSV from a DGP JSON file")

@@ -6,7 +6,6 @@ fit and out-of-fold prediction goes through ``fit_folds`` and
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,16 +61,11 @@ def _in_fold(j: int, fn, *args):
         raise
 
 
-def fit_folds(plan: CrossFitPlan, fit_fn, threads: int = 1) -> list:
-    """One model per fold: ``fit_fn(j, train_idx)`` for j = 0..J-1, in fold
-    order, on up to ``threads`` worker threads."""
-    def fit(j):
-        return _in_fold(j, fit_fn, j, plan.train_indices(j))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fit, range(plan.folds)))
-    return [fit(j) for j in range(plan.folds)]
+def fit_folds(plan: CrossFitPlan, fit_fn) -> list:
+    """One model per fold: ``fit_fn(j, train_idx)`` for j = 0..J-1, called
+    sequentially in fold order. Callers that stack inside a fold use
+    ``learners.CV_FOLDS`` inner folds."""
+    return [_in_fold(j, fit_fn, j, plan.train_indices(j)) for j in range(plan.folds)]
 
 
 def out_of_fold(plan: CrossFitPlan, models, predict_fn) -> np.ndarray:

@@ -99,11 +99,3 @@ def rich_support_dgp() -> DiscreteDGP:
         m_names=("m",), m_support=m_support,
         p_w=p_w, p_a=p_a, p_z=p_z, p_m=p_m, p_y=p_y,
     )
-
-
-def committed_dgps() -> dict[str, DiscreteDGP]:
-    return {
-        "crossover": crossover_dgp(),
-        "null_mediation": null_mediation_dgp(),
-        "rich_support": rich_support_dgp(),
-    }

@@ -34,9 +34,7 @@ class NuisanceConfig:
     stack: tuple[str, ...] = ("mean", "glm", "lasso")
     epsilon: float = 0.01
     seed: int = 0
-    stack_folds: int = 5
     pairs: tuple[tuple[int, int], ...] = CONTRAST_PAIRS
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "stack", tuple(self.stack))
@@ -165,7 +163,7 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
     def fit_fold(j: int, tr: np.ndarray) -> FoldModels:
         def fit(X, target, rows, role):
             return fit_stack(config.stack, X[rows], target, w[rows],
-                             folds=config.stack_folds, seed=_seed(config.seed, j, role))
+                             seed=_seed(config.seed, j, role))
 
         fm = FoldModels(
             propensity=fit(Wb, a[tr], tr, 0),
@@ -192,7 +190,7 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
             fm.projections[(ap, st)] = (m_u, m_v)
         return fm
 
-    fold_models = fit_folds(plan, fit_fold, threads=config.threads)
+    fold_models = fit_folds(plan, fit_fold)
 
     def project(fm: FoldModels, rows) -> np.ndarray:
         cols = []

@@ -19,10 +19,13 @@ from .crossfit import crossfit_predict, make_plan
 from .errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
                      SingularDesignWarning)
 
+CV_FOLDS = 5
 IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
 CD_MAX_ITER = 1000
 N_LAMBDAS = 50
+GB_ROUNDS = 200
+GB_RATE = 0.1
 SATURATED_MAX_FEATURES = 10
 
 
@@ -295,15 +298,14 @@ def _weighted_standardize(X, w):
 class PenalizedLearner:
     """Ridge (l1_ratio=0) or lasso (l1_ratio=1) fit by coordinate descent on
     weighted-standardized features with an unpenalized intercept. The penalty
-    is chosen by internal 5-fold CV over a 50-point log grid unless ``lam``
-    is given. ``penalty_weights`` scales the penalty per coefficient; an
-    infinite weight forces that coefficient to exactly zero."""
+    is chosen by internal ``CV_FOLDS``-fold CV over an ``N_LAMBDAS``-point log
+    grid unless ``lam`` is given. ``penalty_weights`` scales the penalty per
+    coefficient; an infinite weight forces that coefficient to exactly zero."""
 
     def __init__(self, l1_ratio: float = 1.0, lam: float | None = None,
-                 cv_folds: int = 5, penalty_weights=None, cv_rule: str = "min"):
+                 penalty_weights=None, cv_rule: str = "min"):
         self.l1_ratio = float(l1_ratio)
         self.lam = lam
-        self.cv_folds = cv_folds
         self.penalty_weights = penalty_weights
         if cv_rule not in ("min", "1se"):
             raise ValueError("cv_rule must be 'min' or '1se'")
@@ -373,7 +375,7 @@ class PenalizedLearner:
 
     def _cv_lambda(self, Xk, y, w, pw, lams, seed) -> float:
         n = len(y)
-        folds = min(self.cv_folds, n)
+        folds = min(CV_FOLDS, n)
         plan = make_plan(n, folds, seed)
         risks = np.zeros((folds, len(lams)))
         for j in range(folds):
@@ -461,7 +463,6 @@ class FittedBoost:
     thresholds: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    rate: float
     binary: bool
     lo: float
     hi: float
@@ -470,7 +471,7 @@ class FittedBoost:
         X = _check_features(X)
         F = np.full(X.shape[0], self.base)
         for j, t, lv, rv in zip(self.features, self.thresholds, self.left, self.right):
-            F += self.rate * np.where(X[:, int(j)] <= t, lv, rv)
+            F += GB_RATE * np.where(X[:, int(j)] <= t, lv, rv)
         return F
 
     def predict(self, X) -> np.ndarray:
@@ -481,15 +482,11 @@ class FittedBoost:
 
 class GBStumpLearner:
     """Depth-one gradient boosting: squared-error loss on continuous targets,
-    logistic loss on binary ones, learning rate 0.1, up to 200 rounds with the
-    round count picked by internal CV."""
+    logistic loss on binary ones, learning rate ``GB_RATE``, up to
+    ``GB_ROUNDS`` rounds with the round count picked by internal
+    ``CV_FOLDS``-fold CV (skipped below ``2 * CV_FOLDS`` rows)."""
 
     name = "gbstump"
-
-    def __init__(self, max_rounds: int = 200, rate: float = 0.1, cv_folds: int = 5):
-        self.max_rounds = max_rounds
-        self.rate = rate
-        self.cv_folds = cv_folds
 
     def fit(self, X, y, w=None, seed: int = 0):
         X = _check_features(X)
@@ -499,16 +496,16 @@ class GBStumpLearner:
         if np.all(y == y[0]):
             return FittedMean(value=float(y[0]), lo=lo, hi=hi)
         n = len(y)
-        rounds = self.max_rounds
-        if self.cv_folds >= 2 and n >= 2 * self.cv_folds:
-            plan = make_plan(n, self.cv_folds, seed)
-            losses = np.full((self.cv_folds, self.max_rounds), np.nan)
-            for j in range(self.cv_folds):
+        rounds = GB_ROUNDS
+        if n >= 2 * CV_FOLDS:
+            plan = make_plan(n, CV_FOLDS, seed)
+            losses = np.full((CV_FOLDS, GB_ROUNDS), np.nan)
+            for j in range(CV_FOLDS):
                 tr, va = plan.train_indices(j), plan.val_indices(j)
                 _, _, val = self._boost(X[tr], y[tr], w[tr], binary,
                                         X[va], y[va], w[va])
                 losses[j, :len(val)] = val
-                if len(val) < self.max_rounds and len(val):
+                if len(val) < GB_ROUNDS and len(val):
                     losses[j, len(val):] = val[-1]
             mean_loss = np.nanmean(losses, axis=0)
             rounds = int(np.argmin(mean_loss)) + 1 if np.any(np.isfinite(mean_loss)) else 0
@@ -519,10 +516,10 @@ class GBStumpLearner:
                            thresholds=np.array([s[1] for s in stumps]),
                            left=np.array([s[2] for s in stumps]),
                            right=np.array([s[3] for s in stumps]),
-                           rate=self.rate, binary=binary, lo=lo, hi=hi)
+                           binary=binary, lo=lo, hi=hi)
 
     def _boost(self, X, y, w, binary, Xv=None, yv=None, wv=None, rounds=None):
-        rounds = self.max_rounds if rounds is None else rounds
+        rounds = GB_ROUNDS if rounds is None else rounds
         splits = _split_index(X)
         pbar = min(max(_wmean(y, w), 1e-6), 1.0 - 1e-6)
         base = float(np.log(pbar / (1.0 - pbar))) if binary else _wmean(y, w)
@@ -536,9 +533,9 @@ class GBStumpLearner:
                 break
             j, t, lv, rv = stump
             stumps.append(stump)
-            F += self.rate * np.where(X[:, j] <= t, lv, rv)
+            F += GB_RATE * np.where(X[:, j] <= t, lv, rv)
             if Fv is not None:
-                Fv += self.rate * np.where(Xv[:, j] <= t, lv, rv)
+                Fv += GB_RATE * np.where(Xv[:, j] <= t, lv, rv)
                 if binary:
                     p = np.clip(_expit(Fv), 1e-12, 1 - 1e-12)
                     val_losses.append(-_wmean(yv * np.log(p) + (1 - yv) * np.log(1 - p), wv))
@@ -631,9 +628,9 @@ class StackedEnsemble:
         return np.clip(out, self.lo, self.hi)
 
 
-def fit_stack(members, X, y, w=None, folds: int = 5, seed: int = 0) -> StackedEnsemble:
+def fit_stack(members, X, y, w=None, seed: int = 0) -> StackedEnsemble:
     """Convex stacking: member weights are the exact simplex-constrained weighted
-    least-squares fit to cross-validated member predictions. Tie-break: a face of
+    least-squares fit to ``CV_FOLDS``-fold member predictions. Tie-break: a face of
     the simplex (tried by size, then in stack order) replaces the incumbent only
     if its CV risk is lower by more than a relative 1e-12, so tied optima go to
     the fewest members, then the earliest in stack order. A member that fails to
@@ -653,7 +650,7 @@ def fit_stack(members, X, y, w=None, folds: int = 5, seed: int = 0) -> StackedEn
                                weights=np.array([1.0]), cv_risks=None,
                                stack_cv_risk=None, binary=binary, lo=lo, hi=hi)
 
-    plan = make_plan(n, min(folds, n), seed)
+    plan = make_plan(n, min(CV_FOLDS, n), seed)
     preds = np.empty((n, len(members)))
     kept, dropped = [], []
     for mi, member in enumerate(members):

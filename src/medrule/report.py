@@ -7,6 +7,7 @@ an SVG forest plot into the output directory.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .data import ColumnSchema, Dataset, read_csv, validate_dataset, write_csv
 from .effects import constant_rule, effect_table, estimated_rule
 from .eif import NuisanceConfig, fit_nuisances, pseudo_contrast, shift_weight_values
 from .errors import ConfigError, MedruleError
+from .learners import make_learner
 from .plot import render_forest_plot
 from .subgroup import assign_subgroup, fit_blip, subgroup_summary
 
@@ -37,7 +39,6 @@ class RunConfig:
     blip_methods: tuple[str, ...] = BLIP_METHODS
     epsilon: float = 0.01
     output_dir: str = "medrule-out"
-    threads: int = 1
     z_value: float = 1.96
 
     def __post_init__(self):
@@ -47,10 +48,17 @@ class RunConfig:
             raise ConfigError("folds must be at least 2")
         if not 0.0 < self.epsilon <= 0.2:
             raise ConfigError("epsilon must lie in (0, 0.2]")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if not 0.0 < self.z_value < math.inf:
+            raise ConfigError("z_value must be a finite number > 0")
         if not self.stack:
             raise ConfigError("the learner stack cannot be empty")
+        for name in self.stack:
+            try:
+                make_learner(name)
+            except ValueError as exc:
+                raise ConfigError(f"stack: {exc}") from None
         unknown = set(self.blip_methods) - set(BLIP_METHODS)
         if unknown:
             raise ConfigError(f"unknown blip methods: {sorted(unknown)}")
@@ -80,7 +88,6 @@ def load_config(path) -> RunConfig:
             blip_methods=tuple(doc.get("blip_methods", BLIP_METHODS)),
             epsilon=float(doc.get("epsilon", 0.01)),
             output_dir=doc.get("output_dir", "medrule-out"),
-            threads=int(doc.get("threads", 1)),
             z_value=float(doc.get("z_value", 1.96)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -128,7 +135,7 @@ def run_pipeline(config: RunConfig, write: bool = True) -> dict:
             plan = make_plan(dataset.n, config.folds, config.seed)
         with _stage("nuisances"):
             nuis_config = NuisanceConfig(stack=config.stack, epsilon=config.epsilon,
-                                         seed=config.seed, threads=config.threads)
+                                         seed=config.seed)
             fits = fit_nuisances(dataset, plan, nuis_config)
         with _stage("pseudo-outcomes"):
             pseudo = pseudo_contrast(dataset, fits)

@@ -38,7 +38,7 @@ class BlipModel:
 
 def fit_blip(pseudo: PseudoOutcomes, dataset: Dataset, plan: CrossFitPlan,
              method: str = "stack", stack=("mean", "glm", "lasso"),
-             seed: int = 0, stack_folds: int = 5) -> BlipModel:
+             seed: int = 0) -> BlipModel:
     """Regress the pseudo-outcome contrast on the rule covariates.
 
     ``method="stack"`` trains one ensemble per cross-fit fold on that fold's
@@ -53,7 +53,7 @@ def fit_blip(pseudo: PseudoOutcomes, dataset: Dataset, plan: CrossFitPlan,
     w = dataset.weights
     if method == "stack":
         fold_models = fit_folds(plan, lambda j, tr: fit_stack(
-            stack, Xv[tr], d[tr], w[tr], folds=stack_folds, seed=abs(seed * 7_919 + j)))
+            stack, Xv[tr], d[tr], w[tr], seed=abs(seed * 7_919 + j)))
         return BlipModel(method="stack", covariates=tuple(names), plan=plan,
                          fold_models=fold_models)
     if method == "adaptive-lasso":

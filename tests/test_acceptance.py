@@ -207,7 +207,7 @@ def test_criterion_8_determinism(crossover, tmp_path):
         "blip_methods": ["stack", "adaptive-lasso"], "threads": 1,
     }
     texts = {}
-    for tag, threads in (("first", 1), ("second", 1), ("threads8", 8)):
+    for tag, threads in (("first", 1), ("second", 1), ("legacy-threads-key", 8)):
         doc = dict(config_doc, threads=threads,
                    output_dir=str(tmp_path / f"out-{tag}"))
         path = tmp_path / f"config-{tag}.json"
@@ -216,5 +216,6 @@ def test_criterion_8_determinism(crossover, tmp_path):
         texts[tag] = _strip_timestamp(
             (tmp_path / f"out-{tag}" / "report.json").read_text())
     assert texts["first"] == texts["second"]
-    assert texts["first"] == texts["threads8"]
-    _report(8, "byte-identical reports across reruns and thread counts 1 vs 8")
+    assert texts["first"] == texts["legacy-threads-key"]
+    _report(8, "byte-identical reports across reruns and with a legacy "
+               "'threads' key in the config")

@@ -117,7 +117,8 @@ def test_integer_weights_equal_row_replication(name):
 
 def test_regression_predictions_clipped_to_expanded_range():
     X = np.array([[0.0], [1.0]])
-    model = fit_learner("glm", X, [0.0, 1.0])
+    with pytest.warns(ConvergenceWarning):  # separated data: IRLS reaches its cap
+        model = fit_learner("glm", X, [0.0, 1.0])
     pred = model.predict(np.array([[10.0], [-10.0]]))
     assert pred.max() <= 1.1 and pred.min() >= -0.1
 
@@ -305,7 +306,8 @@ def test_adaptive_lasso_duplicate_feature_risk():
     x = rng.normal(size=(2000, 1))
     y = 2.0 * x[:, 0] + 0.5 * rng.normal(size=2000)
     single = fit_adaptive_lasso(x, y, seed=3)
-    dup = fit_adaptive_lasso(np.column_stack([x, x]), y, seed=3)
+    with pytest.warns(ConvergenceWarning):  # coordinate descent on [x, x]
+        dup = fit_adaptive_lasso(np.column_stack([x, x]), y, seed=3)
     assert len(dup.selected) >= 1
     risk_single = np.mean((y - single.predict(x)) ** 2)
     risk_dup = np.mean((y - dup.predict(np.column_stack([x, x]))) ** 2)

@@ -241,6 +241,28 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stack", ["mean", "glmm"]),
+    ("seed", -3),
+    ("z_value", float("nan")),
+    ("z_value", -1.96),
+])
+def test_cli_rejects_bad_config_values(tmp_path, capsys, field, value):
+    config_path = write_run_inputs(tmp_path, n=50, **{field: value})
+    assert main(["run", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]") and field in err
+    assert "Traceback" not in err
+
+
+def test_legacy_threads_key_is_ignored(tmp_path):
+    with_key = load_config(write_run_inputs(tmp_path, n=50, threads=8))
+    without = json.loads((tmp_path / "config.json").read_text())
+    del without["threads"]
+    (tmp_path / "config.json").write_text(json.dumps(without))
+    assert with_key == load_config(tmp_path / "config.json")
+
+
 def test_cli_reports_stage_on_pipeline_error(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({
