@@ -47,8 +47,6 @@ from .eif import (  # noqa: F401
     PseudoOutcomes,
     fit_nuisances,
     pseudo_contrast,
-    pseudo_outcome,
-    pseudo_outcome_values,
     shift_weight_values,
 )
 from .subgroup import (  # noqa: F401

@@ -274,18 +274,6 @@ def pseudo_outcome_and_weight(dataset: Dataset, fits: NuisanceFits, a_prime: int
     return total, h
 
 
-def pseudo_outcome_values(dataset: Dataset, fits: NuisanceFits,
-                          a_prime: int, a_star: int) -> np.ndarray:
-    """Vectorized per-row pseudo-outcomes for one contrast pair."""
-    return pseudo_outcome_and_weight(dataset, fits, a_prime, a_star)[0]
-
-
-def pseudo_outcome(dataset: Dataset, i: int, fits: NuisanceFits,
-                   a_prime: int, a_star: int) -> float:
-    """The four-term transform for a single row, from its fold's models."""
-    return float(pseudo_outcome_values(dataset, fits, a_prime, a_star)[i])
-
-
 @dataclass
 class PseudoOutcomes:
     """Blip transform per row: the (1,1) and (1,0) arms and their difference,

@@ -5,7 +5,9 @@ and is deterministic given (data, weights, seed). Binary {0,1} targets are fit
 as probabilities and predictions are clipped to [0, 1]; continuous targets are
 clipped to the observed training range expanded by 10%. Stack weights are the
 exact simplex-constrained least-squares solution; ties go to the fewest members,
-then the earliest in stack order. Solvers that stop at a cap warn.
+then the earliest in stack order. Ridge and lasso paths are exact from the
+weighted sums of each training set; the one iterative solver, IRLS, warns when
+it stops at its cap.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
 CV_FOLDS = 5
 IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
-CD_MAX_ITER = 1000
 N_LAMBDAS = 50
 GB_ROUNDS = 200
 GB_RATE = 0.1
@@ -236,7 +237,7 @@ class GLMLearner:
 
 
 # ---------------------------------------------------------------------------
-# penalized linear models (coordinate descent)
+# penalized linear models (exact paths from weighted sums)
 
 @dataclass
 class FittedPenalized:
@@ -253,64 +254,95 @@ class FittedPenalized:
         return np.clip(self.intercept + X @ self.coef, self.lo, self.hi)
 
 
-def _soft(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
+def _standardize(M, pw, ridge):
+    """Standardized Gram ``G`` and correlations ``c`` of a training set from its
+    weighted sums ``M = Z'WZ``, ``Z = [1, x, y]`` centred by the all-row mean
+    (so subtracting a held-out block's sums does not cancel). Penalty weights
+    fold into ``scale``: the coefficient on x_j is g_j / scale_j. A column with
+    variance <= 1e-14 of its mean square, or an infinite weight, gets scale inf."""
+    mean = M[0, 1:] / M[0, 0]
+    C = M[1:, 1:] / M[0, 0] - np.outer(mean, mean)
+    var = np.diag(C)[:-1]
+    keep = (var > 1e-14 * np.diag(M)[1:-1] / M[0, 0]) & np.isfinite(pw)
+    sd = np.sqrt(np.maximum(var, 0.0))
+    pw = np.where(keep, pw, 1.0)
+    scale = np.where(keep, sd * (np.sqrt(pw) if ridge else pw), np.inf)
+    return C[:-1, :-1] / np.outer(scale, scale), C[:-1, -1] / scale, scale, sd, mean
 
 
-def _cd_solve(Xs, r, beta, w, wsum, lam, l1_ratio, pw, tol):
-    """One coordinate-descent solve; ``r`` is maintained as y - Xs @ beta."""
-    p = Xs.shape[1]
-    for _ in range(CD_MAX_ITER):
-        delta = 0.0
-        for j in range(p):
-            if not np.isfinite(pw[j]):
-                continue
-            bj = beta[j]
-            rho = float(np.dot(w * Xs[:, j], r)) / wsum + bj
-            l1 = lam * pw[j] * l1_ratio
-            l2 = lam * pw[j] * (1.0 - l1_ratio)
-            new = _soft(rho, l1) / (1.0 + l2)
-            if new != bj:
-                r -= Xs[:, j] * (new - bj)
-                beta[j] = new
-                delta = max(delta, abs(new - bj))
-        if delta < tol:
+def _lasso_path(G, c, lams) -> np.ndarray:
+    """Exact minimizers of g'Gg/2 - c'g + lam*|g|_1 at each lam of a descending
+    grid, by the lasso homotopy (Efron, Hastie, Johnstone & Tibshirani 2004;
+    Osborne, Presnell & Turlach 2000). The path is linear in lam between knots
+    where a column enters, its |correlation| c_j - (Gg)_j reaching lam, or
+    leaves, its coefficient reaching zero; every grid lam >= max|c| gives
+    exactly zero. Tie rule: among columns whose correlations reach lam within
+    a relative 1e-12 the earliest enters first, and a column in the span of
+    the active set (Schur complement <= 1e-12 of its diagonal) never enters,
+    e.g. the second copy in [x, x]."""
+    p = len(c)
+    out = np.zeros((len(lams), p))
+    g = np.zeros(p)
+    active = np.zeros(p, bool)
+    lam = float(np.max(np.abs(c), initial=0.0))
+    k = int(np.sum(lams >= lam))
+    diag = np.diag(G)
+    left = None
+    while k < len(lams):
+        r = c - G @ g
+        A = np.flatnonzero(active)
+        sol = np.linalg.solve(G[A][:, A], np.column_stack([np.sign(r[A]), G[A]]))
+        step = np.zeros(p)
+        step[A] = sol[:, 0]
+        a = G @ step    # r falls at rate a as lam falls; a = sign(r) on A
+        schur = diag - np.sum(G[A] * sol[:, 1:], axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(a < 1.0, (lam - r) / (1.0 - a), np.inf)
+            down = np.where(a > -1.0, (lam + r) / (1.0 + a), np.inf)
+            leave = np.where(g * step < 0.0, -g / step, np.inf)
+        if left is not None:  # a column that just left moves inward from its bound
+            (up if r[left] > 0.0 else down)[left] = np.inf
+        enter = np.maximum(np.minimum(up, down), 0.0)
+        enter[active | (schur <= 1e-12 * diag)] = np.inf
+        t = min(enter.min(), leave.min())
+        stop = int(np.sum(lams >= lam - t))
+        out[k:stop] = g + (lam - lams[k:stop, None]) * step
+        k = stop
+        if k == len(lams):
             break
-    else:
-        warnings.warn(f"coordinate descent reached its sweep cap ({CD_MAX_ITER}) "
-                      "without converging", ConvergenceWarning, stacklevel=2)
-    return beta, r
-
-
-def _weighted_standardize(X, w):
-    wn = w / np.sum(w)
-    mu = wn @ X
-    sd = np.sqrt(wn @ (X - mu) ** 2)
-    keep = sd > 1e-12
-    Xs = (X[:, keep] - mu[keep]) / sd[keep]
-    return Xs, mu, sd, keep
+        g += t * step
+        lam -= t
+        if leave.min() <= enter.min():
+            left = int(np.argmin(leave))
+            g[left] = 0.0
+            active[left] = False
+        else:
+            left = None
+            active[int(np.argmax(enter <= t + 1e-12 * lam))] = True
+    return out
 
 
 class PenalizedLearner:
-    """Ridge (l1_ratio=0) or lasso (l1_ratio=1) fit by coordinate descent on
-    weighted-standardized features with an unpenalized intercept. The penalty
-    is chosen by internal ``CV_FOLDS``-fold CV over an ``N_LAMBDAS``-point log
-    grid unless ``lam`` is given. ``penalty_weights`` scales the penalty per
-    coefficient; an infinite weight forces that coefficient to exactly zero."""
+    """Ridge (``l1_ratio=0``) or lasso (``l1_ratio=1``) on weighted-standardized
+    features with an unpenalized intercept, solved exactly (no cap, tolerance
+    or warning) from each training set's weighted sums: ridge in closed form
+    from one eigendecomposition, the lasso by ``_lasso_path``. The penalty is
+    chosen by internal ``CV_FOLDS``-fold CV, with held-out risks from the
+    held-out block's sums, over an ``N_LAMBDAS``-point log grid topped by the
+    smallest lasso penalty that zeroes every coefficient (ridge: 100 times
+    it). Positive ``penalty_weights`` scale the penalty per coefficient; an
+    infinite weight forces that coefficient to exactly zero."""
 
-    def __init__(self, l1_ratio: float = 1.0, lam: float | None = None,
-                 penalty_weights=None, cv_rule: str = "min"):
-        self.l1_ratio = float(l1_ratio)
-        self.lam = lam
-        self.penalty_weights = penalty_weights
+    def __init__(self, l1_ratio: float = 1.0, penalty_weights=None,
+                 cv_rule: str = "min"):
+        if l1_ratio not in (0.0, 1.0):
+            raise ValueError("l1_ratio must be 0 (ridge) or 1 (lasso)")
         if cv_rule not in ("min", "1se"):
             raise ValueError("cv_rule must be 'min' or '1se'")
+        self.l1_ratio = float(l1_ratio)
+        self.penalty_weights = penalty_weights
         self.cv_rule = cv_rule
-        self.name = "lasso" if self.l1_ratio >= 0.5 else "ridge"
+        self.name = "lasso" if self.l1_ratio == 1.0 else "ridge"
 
     def fit(self, X, y, w=None, seed: int = 0) -> FittedPenalized:
         X = _check_features(X)
@@ -318,79 +350,45 @@ class PenalizedLearner:
         binary = _is_binary(y)
         lo, hi = _pred_bounds(y, binary)
         n, p = X.shape
+        pw = (np.ones(p) if self.penalty_weights is None
+              else np.asarray(self.penalty_weights, dtype=float))
+        shift = np.append(w @ X, w @ y) / np.sum(w)
+        Z = np.column_stack([np.ones(n), X - shift[:-1], y - shift[-1]])
+        plan = make_plan(n, min(CV_FOLDS, n), seed)
+        blocks = [Z[va].T @ (w[va, None] * Z[va])
+                  for va in map(plan.val_indices, range(plan.folds))]
+        M = sum(blocks)
+        G, c, scale, sd, mean = _standardize(M, pw, self.l1_ratio == 0.0)
+        lams = self._lambda_grid(c)
+        lam = lams[0] if len(lams) == 1 else self._cv_lambda(M, blocks, pw, lams)
+        coef = self._path(G, c, lams=np.array([lam]))[0] / scale
+        intercept = shift[-1] + mean[-1] - (shift[:-1] + mean[:-1]) @ coef
+        return FittedPenalized(coef=coef, intercept=float(intercept),
+                               coef_std=coef * sd, lam=float(lam),
+                               binary=binary, lo=lo, hi=hi)
 
-        pw_full = (np.ones(p) if self.penalty_weights is None
-                   else np.asarray(self.penalty_weights, dtype=float))
-        ybar = _wmean(y, w)
-        Xs, mu, sd, keep = _weighted_standardize(X, w)
-        pw = pw_full[keep]
-        if Xs.shape[1] == 0 or np.all(~np.isfinite(pw)):
-            return FittedPenalized(coef=np.zeros(p), intercept=ybar,
-                                   coef_std=np.zeros(p), lam=0.0,
-                                   binary=binary, lo=lo, hi=hi)
-
-        lams = self._lambda_grid(Xs, y - ybar, w, pw)
-        if self.lam is not None:
-            lam = float(self.lam)
-        elif len(lams) == 1:
-            lam = lams[0]
-        else:
-            lam = self._cv_lambda(X[:, keep], y, w, pw, lams, seed)
-
-        beta_std = self._path(Xs, y - ybar, w, pw, [lam])[0]
-        coef = np.zeros(p)
-        coef[keep] = beta_std / sd[keep]
-        coef_std = np.zeros(p)
-        coef_std[keep] = beta_std
-        intercept = ybar - float(mu[keep] @ (beta_std / sd[keep]))
-        return FittedPenalized(coef=coef, intercept=intercept, coef_std=coef_std,
-                               lam=lam, binary=binary, lo=lo, hi=hi)
-
-    def _lambda_grid(self, Xs, yc, w, pw) -> np.ndarray:
-        wsum = float(np.sum(w))
-        finite = np.isfinite(pw)
-        if not np.any(finite):
-            return np.array([1.0])
-        rho0 = np.abs(Xs[:, finite].T @ (w * yc)) / wsum / pw[finite]
-        anchor = float(rho0.max())
+    def _lambda_grid(self, c) -> np.ndarray:
+        anchor = float(np.max(np.abs(c), initial=0.0))
         if anchor <= 1e-300:
             return np.array([1.0])
-        if self.l1_ratio >= 0.5:
-            top = anchor / max(self.l1_ratio, 1e-3)
-            return np.logspace(np.log10(top), np.log10(top * 1e-4), N_LAMBDAS)
-        return np.logspace(np.log10(anchor * 100.0),
-                           np.log10(anchor * 1e-4), N_LAMBDAS)
+        return anchor * np.logspace(0 if self.l1_ratio else 2, -4, N_LAMBDAS)
 
-    def _path(self, Xs, yc, w, pw, lams) -> list[np.ndarray]:
-        wsum = float(np.sum(w))
-        scale = max(1.0, float(np.sqrt(np.sum(w * yc ** 2) / wsum)))
-        tol = 1e-8 * scale
-        beta = np.zeros(Xs.shape[1])
-        r = yc.copy()
-        out = []
-        for lam in lams:
-            beta, r = _cd_solve(Xs, r, beta, w, wsum, lam, self.l1_ratio, pw, tol)
-            out.append(beta.copy())
-        return out
+    def _path(self, G, c, lams) -> np.ndarray:
+        if self.l1_ratio:
+            return _lasso_path(G, c, lams)
+        e, V = np.linalg.eigh(G)
+        return (V.T @ c) / (np.maximum(e, 0.0) + lams[:, None]) @ V.T
 
-    def _cv_lambda(self, Xk, y, w, pw, lams, seed) -> float:
-        n = len(y)
-        folds = min(CV_FOLDS, n)
-        plan = make_plan(n, folds, seed)
-        risks = np.zeros((folds, len(lams)))
-        for j in range(folds):
-            tr, va = plan.train_indices(j), plan.val_indices(j)
-            ytr, wtr = y[tr], w[tr]
-            ybar = _wmean(ytr, wtr)
-            Xs, mu, sd, keep = _weighted_standardize(Xk[tr], wtr)
-            if Xs.shape[1] == 0:
-                preds = [np.full(len(va), ybar)] * len(lams)
-            else:
-                betas = self._path(Xs, ytr - ybar, wtr, pw[keep], lams)
-                Xva = (Xk[va][:, keep] - mu[keep]) / sd[keep]
-                preds = [ybar + Xva @ b for b in betas]
-            for k, pred in enumerate(preds):
-                risks[j, k] = _wmean((y[va] - pred) ** 2, w[va])
+    def _cv_lambda(self, M, blocks, pw, lams) -> float:
+        folds = len(blocks)
+        risks = np.empty((folds, len(lams)))
+        for j, B in enumerate(blocks):
+            G, c, scale, _, mean = _standardize(M - B, pw, self.l1_ratio == 0.0)
+            coef = self._path(G, c, lams) / scale
+            # held-out residual y - (intercept + x'coef) = [1, x, y] @ theta
+            theta = np.column_stack([coef @ mean[:-1] - mean[-1], -coef,
+                                     np.ones(len(lams))])
+            risks[j] = np.einsum("ki,ij,kj->k", theta, B, theta) / B[0, 0]
         mean_risk = risks.mean(axis=0)
         best = int(np.argmin(mean_risk))  # ties -> largest lambda
         if self.cv_rule == "1se":

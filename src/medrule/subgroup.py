@@ -27,14 +27,6 @@ class BlipModel:
     fold_models: list | None = None
     model: AdaptiveLassoModel | None = None
 
-    def predict_deployment(self, X) -> np.ndarray:
-        """Prediction for new data: the fold average (stack) or the single
-        interpretable model."""
-        if self.method == "adaptive-lasso":
-            return self.model.predict(X)
-        preds = np.stack([m.predict(X) for m in self.fold_models])
-        return preds.mean(axis=0)
-
 
 def fit_blip(pseudo: PseudoOutcomes, dataset: Dataset, plan: CrossFitPlan,
              method: str = "stack", stack=("mean", "glm", "lasso"),

@@ -6,12 +6,11 @@ from medrule import (
     fit_nuisances,
     make_plan,
     pseudo_contrast,
-    pseudo_outcome,
-    pseudo_outcome_values,
     shift_weight_values,
     simulate,
     validate_dataset,
 )
+from medrule.eif import pseudo_outcome_and_weight
 from medrule.errors import (
     ClippingSaturationWarning,
     ConvergenceWarning,
@@ -75,7 +74,7 @@ def test_saturated_fits_converge_to_oracle_tables(crossover):
 
 def test_rows_outside_both_arms_reduce_to_projection(big_run):
     ds, fits = big_run.dataset, big_run.fits
-    d11 = pseudo_outcome_values(ds, fits, 1, 1)
+    d11 = pseudo_outcome_and_weight(ds, fits, 1, 1)[0]
     untreated = ds.column("A") == 0.0
     assert np.array_equal(d11[untreated], fits.v_vals[(1, 1)][untreated])
 
@@ -88,13 +87,6 @@ def test_shift_weight_literal_cancellation(big_run):
     r1 = fits.z_given_am1[:, 1]
     qr = np.where(z == 1.0, q1, 1.0 - q1) / np.where(z == 1.0, r1, 1.0 - r1)
     assert np.array_equal(h11, qr)
-
-
-def test_row_accessor_matches_vectorized(big_run):
-    ds, fits = big_run.dataset, big_run.fits
-    vec = pseudo_outcome_values(ds, fits, 1, 0)
-    for i in (0, 17, 19999):
-        assert pseudo_outcome(ds, i, fits, 1, 0) == vec[i]
 
 
 def test_pseudo_outcomes_finite_and_bounded(big_run):
@@ -132,7 +124,7 @@ def test_missing_arm(crossover):
     fits = fit_nuisances(ds, plan, NuisanceConfig(stack=("glm",), seed=1,
                                                   pairs=((1, 1), (1, 0))))
     with pytest.raises(MissingArm):
-        pseudo_outcome_values(ds, fits, 0, 0)
+        pseudo_outcome_and_weight(ds, fits, 0, 0)[0]
 
 
 def test_degenerate_fold_raises(crossover):
@@ -151,7 +143,7 @@ def test_non_finite_pseudo_outcome_reported(big_run):
     broken = dataclasses.replace(fits, v_vals={p: v.copy() for p, v in fits.v_vals.items()})
     broken.v_vals[(1, 1)][5] = np.nan
     with pytest.raises(NonFinitePseudoOutcome) as err:
-        pseudo_outcome_values(big_run.dataset, broken, 1, 1)
+        pseudo_outcome_and_weight(big_run.dataset, broken, 1, 1)[0]
     assert err.value.row == 5
 
 
@@ -188,8 +180,8 @@ def test_pseudo_outcomes_follow_the_dataset_passed(big_run):
     table = {name: ds_a.column(name) for name in ds_a.schema.all_columns}
     table["Y"] = 1.0 - table["Y"]
     ds_b = validate_dataset(table, ds_a.schema)
-    d_a = pseudo_outcome_values(ds_a, big_run.fits, 1, 1)
-    d_b = pseudo_outcome_values(ds_b, big_run.fits, 1, 1)
+    d_a = pseudo_outcome_and_weight(ds_a, big_run.fits, 1, 1)[0]
+    d_b = pseudo_outcome_and_weight(ds_b, big_run.fits, 1, 1)[0]
     assert not np.array_equal(d_a, d_b)
     est_a = estimate_effect(ds_a, big_run.fits, constant_rule(1), "piie")
     est_b = estimate_effect(ds_b, big_run.fits, constant_rule(1), "piie")

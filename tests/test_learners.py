@@ -56,30 +56,103 @@ def test_irls_warns_at_iteration_cap(monkeypatch):
         "IRLS reached its iteration cap (1) without converging"]
 
 
-def test_coordinate_descent_warns_at_sweep_cap(monkeypatch):
-    rng = np.random.default_rng(26)
-    X = rng.normal(size=(200, 3))
-    y = X @ np.array([1.0, -1.0, 0.5]) + 0.1 * rng.normal(size=200)
-    monkeypatch.setattr(learners, "CD_MAX_ITER", 1)
-    with pytest.warns(ConvergenceWarning) as record:
-        PenalizedLearner(l1_ratio=1.0, lam=0.01).fit(X, y)
-    assert {str(r.message) for r in record} == {
-        "coordinate descent reached its sweep cap (1) without converging"}
-
-
 def test_non_finite_feature_rejected():
     with pytest.raises(NonFiniteFeature):
         fit_learner("glm", np.array([[1.0], [np.nan]]), [0.0, 1.0])
 
 
-def test_lasso_full_shrinkage_at_huge_penalty():
+def test_lasso_full_shrinkage_at_huge_penalty(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 3))
     w = rng.uniform(0.5, 2.0, size=60)
     y = 1.0 + X @ np.array([1.0, 0.0, 0.0]) + 0.1 * rng.normal(size=60)
-    model = PenalizedLearner(l1_ratio=1.0, lam=1e12).fit(X, y, w)
+    learner = PenalizedLearner(l1_ratio=1.0)
+    G, c, _ = _full_data_system(learner, X, y, w)
+    lam_max = np.max(np.abs(c))
+    assert np.all(learner._path(G, c, np.array([1e12, 2.0 * lam_max, lam_max])) == 0.0)
+    # a one-point grid is its top point, lambda_max itself
+    monkeypatch.setattr(learners, "N_LAMBDAS", 1)
+    model = learner.fit(X, y, w)
+    assert model.lam == pytest.approx(lam_max, rel=1e-12)
     assert np.all(model.coef == 0.0)
     assert model.intercept == pytest.approx(np.sum(w * y) / np.sum(w), abs=1e-12)
+
+
+def _full_data_system(learner, X, y, w):
+    """The standardized system of a fit on all rows, with its scale."""
+    Z = np.column_stack([np.ones(len(y)), X, y])
+    Z[:, 1:] -= w @ Z[:, 1:] / w.sum()
+    pw = (np.ones(X.shape[1]) if learner.penalty_weights is None
+          else learner.penalty_weights)
+    G, c, scale, _, _ = learners._standardize(Z.T @ (w[:, None] * Z), pw,
+                                              learner.l1_ratio == 0.0)
+    return G, c, scale
+
+
+def _kkt_violation(X, y, w, pw, ridge, lam, coef, intercept):
+    """Largest violation, relative to lam, of the optimality conditions of
+    sum w r^2 / (2 sum w) + lam * sum pw_j * (|b_j| or b_j^2 / 2) in the
+    weighted-standardized coefficients b, checked on the raw data."""
+    wn = w / w.sum()
+    sd = np.sqrt(wn @ (X - wn @ X) ** 2)
+    grad = (X - wn @ X).T @ (wn * (y - intercept - X @ coef)) / sd
+    fin = np.isfinite(pw)
+    assert np.all(coef[~fin] == 0.0)
+    grad, b, pw = grad[fin], (coef * sd)[fin], pw[fin]
+    if ridge:
+        gap = grad - lam * pw * b
+    else:
+        gap = np.where(b != 0.0, grad - lam * pw * np.sign(b),
+                       np.maximum(np.abs(grad) - lam * pw, 0.0))
+    return float(np.max(np.abs(gap), initial=0.0)) / lam
+
+
+def _penalized_case(seed):
+    """Correlated weighted design with a duplicated column (same penalty
+    weight as its copy) and one infinite penalty weight."""
+    rng = np.random.default_rng(seed)
+    n, p = 300, 6
+    X = rng.normal(size=(n, p)) @ (np.eye(p) + rng.normal(size=(p, p)))
+    X[:, 4] = X[:, 1]
+    y = X @ rng.normal(size=p) + rng.normal(size=n)
+    pw = rng.uniform(0.5, 2.0, size=p)
+    pw[4] = pw[1]
+    pw[2] = np.inf
+    return X, y, rng.uniform(0.5, 2.0, size=n), pw
+
+
+@pytest.mark.parametrize("l1_ratio", [0.0, 1.0])
+@pytest.mark.parametrize("seed", range(10))
+def test_penalized_path_meets_kkt_certificate(l1_ratio, seed):
+    X, y, w, pw = _penalized_case(200 + seed)
+    learner = PenalizedLearner(l1_ratio=l1_ratio, penalty_weights=pw)
+    G, c, scale = _full_data_system(learner, X, y, w)
+    lams = learner._lambda_grid(c)
+    coefs = learner._path(G, c, lams) / scale
+    wn = w / w.sum()
+    for lam, coef in zip(lams, coefs):
+        intercept = wn @ y - (wn @ X) @ coef
+        assert _kkt_violation(X, y, w, pw, l1_ratio == 0.0, lam, coef,
+                              intercept) <= 1e-9
+    if l1_ratio:
+        assert np.all(coefs[0] == 0.0)          # the top of the grid
+        assert np.all(coefs[:, 4] == 0.0)       # the copy of column 1 never enters
+
+
+@pytest.mark.parametrize("seed", [3, 7, 19])
+def test_lasso_fit_is_optimal_on_correlated_design(seed):
+    rng = np.random.default_rng(seed)
+    n, p = 200, rng.integers(2, 8)
+    X = rng.normal(size=(n, p)) @ (np.eye(p) + 2.0 * rng.normal(size=(p, p)))
+    y = X @ rng.normal(size=p) + rng.normal(size=n)
+    model = PenalizedLearner(1.0).fit(X, y, seed=seed)
+    assert _kkt_violation(X, y, np.ones(n), np.ones(p), False, model.lam,
+                          model.coef, model.intercept) <= 1e-9
+
+
+def test_penalized_learner_rejects_mixed_penalty():
+    with pytest.raises(ValueError):
+        PenalizedLearner(l1_ratio=0.5)
 
 
 def test_lasso_cv_recovers_strong_support():
@@ -306,9 +379,9 @@ def test_adaptive_lasso_duplicate_feature_risk():
     x = rng.normal(size=(2000, 1))
     y = 2.0 * x[:, 0] + 0.5 * rng.normal(size=2000)
     single = fit_adaptive_lasso(x, y, seed=3)
-    with pytest.warns(ConvergenceWarning):  # coordinate descent on [x, x]
-        dup = fit_adaptive_lasso(np.column_stack([x, x]), y, seed=3)
+    dup = fit_adaptive_lasso(np.column_stack([x, x]), y, seed=3)
     assert len(dup.selected) >= 1
+    assert dup.selected == ["x0"]
     risk_single = np.mean((y - single.predict(x)) ** 2)
     risk_dup = np.mean((y - dup.predict(np.column_stack([x, x]))) ** 2)
     assert risk_dup <= 1.05 * risk_single
@@ -322,6 +395,16 @@ def test_adaptive_lasso_infinite_penalty_is_exact_zero():
     model = fit_adaptive_lasso(X, y, seed=2)
     assert model.penalty_weights[2] == np.inf
     assert model.coef[2] == 0.0
+
+
+def test_adaptive_lasso_selects_only_nonzero_coefficients():
+    # on pure noise the one-SE rule often picks the top of the grid, whose
+    # solution must be exact zeros rather than a 1e-17 remnant
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 2, size=(1000, 3)).astype(float)
+        model = fit_adaptive_lasso(X, rng.normal(size=1000), seed=seed)
+        assert np.all(np.abs(model.coef[model.coef != 0.0]) >= 1e-12), seed
 
 
 def test_glm_saturated_equivalence_binary_paths():

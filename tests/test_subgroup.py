@@ -133,14 +133,6 @@ def test_blip_requires_matching_plan(big_run):
         fit_blip(big_run.pseudo, big_run.dataset, other_plan, method="stack")
 
 
-def test_deployment_prediction_is_fold_average(big_run):
-    blip = fit_blip(big_run.pseudo, big_run.dataset, big_run.plan,
-                    method="stack", stack=("mean",), seed=3)
-    X = np.array([[0.0], [1.0]])
-    expected = np.mean([m.predict(X) for m in blip.fold_models], axis=0)
-    assert np.array_equal(blip.predict_deployment(X), expected)
-
-
 def test_adaptive_lasso_ignores_junk_covariates(crossover):
     rng = np.random.default_rng(31)
     ds = simulate(crossover, 20000, seed=31)
