@@ -6,6 +6,7 @@ survey weights. Missing values are a hard error; imputation belongs upstream.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -21,6 +22,7 @@ from .errors import (
 )
 
 MEAN_ONE_TOL = 1e-12
+CSV_BLOCK_ROWS = 256  # rows held at once as Python strings by read_csv and write_csv
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,7 @@ class ColumnSchema:
         missing_v = set(self.rule_covariates) - set(self.baseline)
         if missing_v:
             raise ValueError(f"rule covariates {sorted(missing_v)} are not baseline columns")
-        roles = [*self.baseline, self.treatment, self.post_treatment, *self.mediators,
-                 self.outcome]
-        if self.weight is not None:
-            roles.append(self.weight)
+        roles = self.all_columns
         dupes = {name for name in roles if roles.count(name) > 1}
         if dupes:
             raise ValueError(f"columns assigned to more than one role: {sorted(dupes)}")
@@ -98,9 +97,9 @@ def normalize_weights(w: WeightVector) -> WeightVector:
     unchanged so normalization is idempotent.
     """
     vals = w.values
-    for i, v in enumerate(vals):
-        if v < 0:
-            raise NegativeWeight(i, float(v))
+    negative = np.flatnonzero(vals < 0)
+    if negative.size:
+        raise NegativeWeight(int(negative[0]), float(vals[negative[0]]))
     total = float(np.sum(vals))
     if total <= 0.0:
         raise AllZeroWeights()
@@ -154,23 +153,35 @@ class Dataset:
 
 
 def _parse_numeric(raw: Sequence, name: str) -> np.ndarray:
-    out = np.empty(len(raw), dtype=float)
+    """Parse a whole column at once; every cell must be a finite number.
+
+    numpy parses string tokens as Python's ``float`` does. Only a column that
+    fails is walked cell by cell, to report its first bad row.
+    """
+    try:
+        out = np.array(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        _locate_bad_cell(raw, name)
+        raise
+    if out.ndim != 1 or not np.isfinite(out).all():
+        _locate_bad_cell(raw, name)
+        raise ValueError(f"column {name!r} must be a flat sequence of numbers")
+    return out
+
+
+def _locate_bad_cell(raw: Sequence, name: str) -> None:
+    """Raise MissingValue at the first cell that is not a finite number."""
     for i, tok in enumerate(raw):
-        if tok is None:
-            raise MissingValue(i, name)
         if isinstance(tok, str):
             tok = tok.strip()
-            if tok == "" or tok.lower() in ("na", "nan"):
+            if tok.lower() in ("", "na", "nan"):
                 raise MissingValue(i, name)
             try:
-                out[i] = float(tok)
+                tok = float(tok)
             except ValueError:
                 raise MissingValue(i, name, token=tok) from None
-        else:
-            out[i] = float(tok)
-            if not np.isfinite(out[i]):
-                raise MissingValue(i, name)
-    return out
+        if tok is None or not np.isfinite(float(tok)):
+            raise MissingValue(i, name)
 
 
 def _parse_categorical(raw: Sequence, name: str, levels: tuple[str, ...]) -> np.ndarray:
@@ -248,29 +259,35 @@ def read_csv(path) -> dict[str, list[str]]:
         except StopIteration:
             raise ValueError(f"{path} is empty") from None
         table: dict[str, list[str]] = {name: [] for name in header}
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row with {len(row)} fields, expected {len(header)}")
-            for name, tok in zip(header, row):
-                table[name].append(tok)
+        while rows := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+            for row in rows:
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: row with {len(row)} fields, "
+                                     f"expected {len(header)}")
+            for name, tokens in zip(header, zip(*rows)):
+                table[name].extend(tokens)
     return table
 
 
 def write_csv(path, columns: Mapping[str, Sequence]) -> None:
+    """Write columns as a headered CSV, formatting one block of rows at a time."""
     names = list(columns)
     n = len(columns[names[0]])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(n):
-            writer.writerow([_format_cell(columns[name][i]) for name in names])
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = [_format_column(columns[name][start:start + CSV_BLOCK_ROWS])
+                     for name in names]
+            writer.writerows(zip(*block))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    f = float(value)
-    return str(int(f)) if f == int(f) else repr(f)
+def _format_column(values) -> list[str]:
+    """Strings as they are, integral numbers without a decimal point, else repr."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [v if isinstance(v, str) else str(int(f)) if (f := float(v)) == int(f) else repr(f)
+            for v in values]
 
 
 def feature_block(dataset: Dataset, names: Sequence[str]) -> tuple[np.ndarray, list[str]]:

@@ -120,3 +120,8 @@ class DroppedMemberWarning(EstimationWarning):
 
 class ConvergenceWarning(EstimationWarning):
     """An iterative solver stopped at its iteration cap; its last iterate is used."""
+
+
+class SeparationWarning(ConvergenceWarning):
+    """IRLS met separated data, where |eta| diverges; it returned the fit
+    clipped at the bound instead of running to its iteration cap."""

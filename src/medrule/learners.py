@@ -19,11 +19,13 @@ import numpy as np
 
 from .crossfit import crossfit_predict, make_plan
 from .errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
-                     SingularDesignWarning)
+                     SeparationWarning, SingularDesignWarning)
 
 CV_FOLDS = 5
 IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
+ETA_CLIP = 30.0  # logistic predictions saturate here; |eta| beyond it is clipped
+SEPARATION_TOL = 1e-6  # share of a step's largest move that counts as no move
 N_LAMBDAS = 50
 GB_ROUNDS = 200
 GB_RATE = 0.1
@@ -64,7 +66,7 @@ def _wmean(y, w) -> float:
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -ETA_CLIP, ETA_CLIP)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +216,40 @@ class GLMLearner:
                                n_features=p, lo=lo, hi=hi)
 
     def _irls(self, X1, y, w) -> tuple[np.ndarray, bool]:
+        """Logistic IRLS from beta = 0.
+
+        On separated data the likelihood has no maximum and IRLS would walk
+        towards |eta| = inf. A step that moves no row's eta away from its label
+        is a separating direction (Albert & Anderson 1984): the fit is pushed
+        along it until every row it moves has |eta| at the clip bound, and
+        returned with a SeparationWarning.
+        """
         beta = np.zeros(X1.shape[1])
+        eta = np.zeros(X1.shape[0])  # X1 @ beta, unclipped
+        toward = np.where(w > 0, 2.0 * y - 1.0, 0.0)  # +1: a larger eta fits the row better
         singular = False
         for _ in range(IRLS_MAX_ITER):
-            eta = np.clip(X1 @ beta, -30.0, 30.0)
-            p = _expit(eta)
+            clipped = np.clip(eta, -ETA_CLIP, ETA_CLIP)
+            p = _expit(clipped)
             s = np.maximum(p * (1.0 - p), 1e-10)
-            z_work = eta + (y - p) / s
+            z_work = clipped + (y - p) / s
             new, sing = _solve_wls(X1, z_work, w * s, force_ridge=singular)
             if sing and not singular:
                 singular = True
                 warnings.warn("collinear design in IRLS; continuing with ridge 1e-6",
                               SingularDesignWarning, stacklevel=3)
             delta = float(np.max(np.abs(new - beta)))
-            beta = new
+            new_eta = X1 @ new
+            move = new_eta - eta
+            largest = float(np.max(np.abs(move)))
+            if (delta >= IRLS_TOL and largest > 0.0
+                    and np.min(toward * move) >= -SEPARATION_TOL * largest):
+                moving = np.abs(move) > SEPARATION_TOL * largest
+                reach = (ETA_CLIP - np.sign(move[moving]) * new_eta[moving]) / np.abs(move[moving])
+                warnings.warn("IRLS stopped early on separated data; the fit is clipped "
+                              f"at |eta| = {ETA_CLIP:g}", SeparationWarning, stacklevel=3)
+                return new + max(0.0, float(np.max(reach))) * (new - beta), singular
+            beta, eta = new, new_eta
             if delta < IRLS_TOL:
                 break
         else:

@@ -13,10 +13,10 @@ from medrule import (
 from medrule.eif import pseudo_outcome_and_weight
 from medrule.errors import (
     ClippingSaturationWarning,
-    ConvergenceWarning,
     DegenerateFold,
     MissingArm,
     NonFinitePseudoOutcome,
+    SeparationWarning,
 )
 from medrule.oracle import (
     derive_true_nuisances,
@@ -43,7 +43,7 @@ def test_clipping_saturation_warning_when_z_equals_a(crossover):
     plan = make_plan(ds2.n, 5, seed=2)
     cfg = NuisanceConfig(stack=("glm",), epsilon=0.01, seed=1)
     with pytest.warns(ClippingSaturationWarning):
-        with pytest.warns(ConvergenceWarning):  # IRLS on Z == A reaches its cap
+        with pytest.warns(SeparationWarning):  # Z == A separates the Z model
             fits = fit_nuisances(ds2, plan, cfg)
     # P(Z=1 | A=1, W) hits the upper clipping bound
     assert np.all(fits.z_given_a1[:, 1] >= 0.9)

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from medrule import fit_adaptive_lasso, fit_learner, fit_stack, make_learner
 from medrule import learners
 from medrule.errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
-                            SingularDesignWarning)
+                            SeparationWarning, SingularDesignWarning)
 from medrule.learners import GLMLearner, PenalizedLearner, _simplex_lsq
 
 
@@ -190,10 +192,52 @@ def test_integer_weights_equal_row_replication(name):
 
 def test_regression_predictions_clipped_to_expanded_range():
     X = np.array([[0.0], [1.0]])
-    with pytest.warns(ConvergenceWarning):  # separated data: IRLS reaches its cap
+    with pytest.warns(SeparationWarning):  # separated data: IRLS stops early
         model = fit_learner("glm", X, [0.0, 1.0])
     pred = model.predict(np.array([[10.0], [-10.0]]))
     assert pred.max() <= 1.1 and pred.min() >= -0.1
+
+
+@pytest.mark.parametrize("case", ["two-point", "threshold", "plane", "quasi"])
+def test_irls_stops_early_on_separated_data(case, monkeypatch):
+    rng = np.random.default_rng(31)
+    if case == "two-point":
+        X, y = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+    elif case == "threshold":
+        X = rng.normal(size=(200, 1))
+        y = (X[:, 0] > 0.3).astype(float)
+    elif case == "plane":
+        X = rng.normal(size=(500, 3))
+        y = (X @ np.array([1.0, -2.0, 0.5]) > 0.2).astype(float)
+    else:  # only rows with x0 == 1 are separated; the rest have a finite fit
+        X = rng.integers(0, 2, size=(300, 2)).astype(float)
+        y = np.where(X[:, 0] == 1.0, 1.0, (rng.random(300) < 0.5).astype(float))
+    calls = []
+    solve = learners._solve_wls
+    monkeypatch.setattr(learners, "_solve_wls", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    with pytest.warns(SeparationWarning) as record:
+        model = GLMLearner().fit(X, y)
+    assert [type(r.message) for r in record] == [SeparationWarning]
+    assert len(calls) <= 10  # without the separation check: 100, 23, 23 and 100 iterations
+    pred = model.predict(X)
+    sep = X[:, 0] == 1.0 if case == "quasi" else np.ones(len(y), bool)
+    # every separated row sits at the clip bound of its label
+    assert np.max(np.abs(pred[sep] - y[sep])) <= 1e-13
+    if case == "quasi":  # the overlapping rows keep their own cell means
+        for v in (0.0, 1.0):
+            cell = (X[:, 0] == 0.0) & (X[:, 1] == v)
+            assert pred[cell].mean() == pytest.approx(y[(X[:, 0] == 0.0)].mean(), abs=0.1)
+
+
+def test_irls_steep_overlapping_fit_is_not_separation():
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(2000, 1))
+    y = (rng.random(2000) < 1.0 / (1.0 + np.exp(-14.0 * x[:, 0]))).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = GLMLearner().fit(x, y)
+    assert np.max(np.abs(np.column_stack([np.ones(2000), x]) @ model.beta)) > 30.0
+    assert model.beta[1] == pytest.approx(14.0, rel=0.2)
 
 
 def test_determinism_bitwise():
