@@ -91,9 +91,11 @@ def _prob_of(p1: np.ndarray, a: int) -> np.ndarray:
     return p1 if a == 1 else 1.0 - p1
 
 
-def _with_consts(consts: list[float], blocks: list[np.ndarray], rows) -> np.ndarray:
-    return np.column_stack([np.full(len(rows), float(c)) for c in consts]
-                           + [b[rows] for b in blocks])
+def _with_lead(block: np.ndarray, k: int) -> np.ndarray:
+    """A copy of ``block`` behind ``k`` leading columns that the caller fills."""
+    out = np.empty((block.shape[0], k + block.shape[1]))
+    out[:, k:] = block
+    return out
 
 
 def _shift_weight(g1, e1, q1, r1, z, a_prime: int, a_star: int) -> np.ndarray:
@@ -148,16 +150,18 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
     def evaluate(fm: FoldModels, rows) -> np.ndarray:
         """Clipped probabilities and rescaled outcome regression at ``rows``,
         in the column layout that ``_roles`` names."""
-        cols = [_clip_prob(fm.propensity.predict(Wb[rows]), eps),
-                _clip_prob(fm.propensity_given_m.predict(MWb[rows]), eps)]
-        cols += [_clip_prob(fm.z_given_a.predict(_with_consts([arm], [Wb], rows)), eps)
-                 for arm in (0, 1)]
-        cols += [_clip_prob(fm.z_given_am.predict(_with_consts([arm], [Mb, Wb], rows)), eps)
-                 for arm in (0, 1)]
-        for arm in (0, 1):
-            for zz in (0, 1):
-                pred = fm.outcome.predict(_with_consts([arm, zz], [Mb, Wb], rows))
-                cols.append(np.clip(pred * (hi - lo) + lo, lo, hi))
+        W, MW = Wb[rows], MWb[rows]
+        cols = [_clip_prob(fm.propensity.predict(W), eps),
+                _clip_prob(fm.propensity_given_m.predict(MW), eps)]
+        for model, X in ((fm.z_given_a, _with_lead(W, 1)), (fm.z_given_am, _with_lead(MW, 1))):
+            for arm in (0, 1):
+                X[:, 0] = arm
+                cols.append(_clip_prob(model.predict(X), eps))
+        X = _with_lead(MW, 2)
+        for arm, zz in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            X[:, :2] = arm, zz
+            pred = fm.outcome.predict(X)
+            cols.append(np.clip(pred * (hi - lo) + lo, lo, hi))
         return np.column_stack(cols)
 
     def fit_fold(j: int, tr: np.ndarray) -> FoldModels:
@@ -193,10 +197,14 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
     fold_models = fit_folds(plan, fit_fold)
 
     def project(fm: FoldModels, rows) -> np.ndarray:
+        W = Wb[rows]
+        zW = _with_lead(W, 1)
         cols = []
         for m_u, m_v in fm.projections.values():
-            cols += [m_u.predict(_with_consts([zz], [Wb], rows)) for zz in (0, 1)]
-            cols.append(m_v.predict(Wb[rows]))
+            for zz in (0, 1):
+                zW[:, 0] = zz
+                cols.append(m_u.predict(zW))
+            cols.append(m_v.predict(W))
         return np.column_stack(cols)
 
     values = _roles(out_of_fold(plan, fold_models, evaluate))

@@ -30,6 +30,7 @@ N_LAMBDAS = 50
 GB_ROUNDS = 200
 GB_RATE = 0.1
 SATURATED_MAX_FEATURES = 10
+CELL_CODE_MAX_FEATURES = 62  # int64 cell codes: bits 0..p-1, with code 2**p for non-binary rows
 
 
 def _check_features(X) -> np.ndarray:
@@ -146,29 +147,38 @@ class FittedGLM:
 
 @dataclass
 class FittedCellMeans:
-    """Saturated fit over all-binary features: one weighted mean per cell."""
+    """Saturated fit over all-binary features: one weighted mean per cell. Up to
+    ``SATURATED_MAX_FEATURES`` features, predict indexes ``table`` by cell code;
+    above it, it searches ``keys``. Unseen cells and off-grid rows get ``fallback``."""
     keys: np.ndarray            # sorted unique cell codes
     means: np.ndarray
     fallback: float
     n_features: int
     lo: float
     hi: float
+    table: np.ndarray | None = None
 
     def predict(self, X) -> np.ndarray:
         X = _check_features(X)
         code = _cell_codes(X, self.n_features)
-        pos = np.searchsorted(self.keys, code)
-        pos_c = np.minimum(pos, len(self.keys) - 1)
-        found = self.keys[pos_c] == code if len(self.keys) else np.zeros(len(code), bool)
-        out = np.where(found, self.means[pos_c] if len(self.keys) else 0.0, self.fallback)
+        if self.table is not None:
+            out = self.table[code]
+        else:
+            pos = np.minimum(np.searchsorted(self.keys, code), len(self.keys) - 1)
+            out = np.where(self.keys[pos] == code, self.means[pos], self.fallback)
         return np.clip(out, self.lo, self.hi)
 
 
 def _cell_codes(X: np.ndarray, p: int) -> np.ndarray:
+    """Each row's cell code, bit j for feature j, or 2**p for a row with a
+    feature outside {0, 1}. Float products are exact at table sizes."""
     if X.shape[1] != p:
         raise ValueError(f"expected {p} features, got {X.shape[1]}")
-    weights = (1 << np.arange(p)).astype(np.int64) if p else np.empty(0, np.int64)
-    return X.astype(np.int64) @ weights if p else np.zeros(X.shape[0], np.int64)
+    binary = (X == 0.0) | (X == 1.0)
+    if not np.all(binary):
+        return np.where(np.all(binary, axis=1), _cell_codes(np.where(binary, X, 0.0), p), 1 << p)
+    weights = 2.0 ** np.arange(p) if p <= SATURATED_MAX_FEATURES else 1 << np.arange(p)
+    return (X.astype(weights.dtype, copy=False) @ weights).astype(np.int64, copy=False)
 
 
 class GLMLearner:
@@ -190,7 +200,7 @@ class GLMLearner:
             # degenerate target: the exact fit is the constant itself
             return FittedMean(value=float(y[0]), lo=lo, hi=hi)
         if self.saturated:
-            if X.shape[1] <= 62 and np.all((X == 0.0) | (X == 1.0)):
+            if X.shape[1] <= CELL_CODE_MAX_FEATURES and np.all((X == 0.0) | (X == 1.0)):
                 return self._fit_cells(X, y, w, lo, hi)
             X = _product_basis(X)
         X1 = np.column_stack([np.ones(X.shape[0]), X])
@@ -212,8 +222,12 @@ class GLMLearner:
         ysums = np.bincount(inverse, weights=w * y, minlength=len(keys))
         fallback = _wmean(y, w)
         means = np.where(wsums > 0, ysums / np.where(wsums > 0, wsums, 1.0), fallback)
+        table = None
+        if p <= SATURATED_MAX_FEATURES:
+            table = np.full(2 ** p + 1, fallback)
+            table[keys] = means
         return FittedCellMeans(keys=keys, means=means, fallback=fallback,
-                               n_features=p, lo=lo, hi=hi)
+                               n_features=p, lo=lo, hi=hi, table=table)
 
     def _irls(self, X1, y, w) -> tuple[np.ndarray, bool]:
         """Logistic IRLS from beta = 0.

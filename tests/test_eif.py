@@ -10,6 +10,7 @@ from medrule import (
     simulate,
     validate_dataset,
 )
+from medrule.data import feature_block
 from medrule.eif import pseudo_outcome_and_weight
 from medrule.errors import (
     ClippingSaturationWarning,
@@ -48,6 +49,38 @@ def test_clipping_saturation_warning_when_z_equals_a(crossover):
     # P(Z=1 | A=1, W) hits the upper clipping bound
     assert np.all(fits.z_given_a1[:, 1] >= 0.9)
     assert np.any(fits.z_given_a1[:, 1] == 1 - cfg.epsilon)
+
+
+def test_out_of_fold_values_match_column_stacked_designs(crossover):
+    # pins the evaluation design layout [a, z, M, W] / [z, W] bit for bit
+    ds = simulate(crossover, 1500, seed=24)
+    plan = make_plan(ds.n, 3, seed=5)
+    cfg = NuisanceConfig(stack=("mean", "glm", "glm_sat"), seed=6)
+    fits = fit_nuisances(ds, plan, cfg)
+    W, _ = feature_block(ds, ds.schema.baseline)
+    M, _ = feature_block(ds, ds.schema.mediators)
+    lo, hi = ds.schema.outcome_range
+    for j, fm in enumerate(fits.fold_models):
+        va = plan.val_indices(j)
+
+        def full(c):
+            return np.full(len(va), float(c))
+
+        for arm in (0, 1):
+            q = fm.z_given_a.predict(np.column_stack([full(arm), W[va]]))
+            r = fm.z_given_am.predict(np.column_stack([full(arm), M[va], W[va]]))
+            assert np.array_equal(fits.z_given_a1[va, arm],
+                                  np.clip(q, cfg.epsilon, 1 - cfg.epsilon))
+            assert np.array_equal(fits.z_given_am1[va, arm],
+                                  np.clip(r, cfg.epsilon, 1 - cfg.epsilon))
+            for z in (0, 1):
+                b = fm.outcome.predict(np.column_stack([full(arm), full(z), M[va], W[va]]))
+                assert np.array_equal(fits.outcome_az[va, arm, z],
+                                      np.clip(b * (hi - lo) + lo, lo, hi))
+        for pair, (m_u, _) in fm.projections.items():
+            for z in (0, 1):
+                u = m_u.predict(np.column_stack([full(z), W[va]]))
+                assert np.array_equal(fits.u_vals[pair][va, z], u)
 
 
 def test_saturated_fits_converge_to_oracle_tables(crossover):

@@ -252,18 +252,31 @@ def test_determinism_bitwise():
 
 
 def test_saturated_glm_cells_match_direct_group_means():
+    # 3 features use the dense cell table, 12 the sorted-key search; on both,
+    # an unseen cell and a row with a feature outside {0, 1} get the training
+    # weighted mean, not a neighbouring cell's
     rng = np.random.default_rng(9)
-    X = rng.integers(0, 2, size=(500, 3)).astype(float)
-    y = rng.random(500)
-    w = rng.uniform(0.5, 2.0, size=500)
-    model = fit_learner("glm_sat", X, y, w=w)
-    pred = model.predict(X)
-    # independent groupby computation
-    for row in {tuple(r) for r in X.tolist()}:
-        sel = np.all(X == np.array(row), axis=1)
-        expected = np.sum(w[sel] * y[sel]) / np.sum(w[sel])
-        got = pred[sel][0]
-        assert got == pytest.approx(expected, abs=1e-12)
+    for p in (3, 12):
+        X = rng.integers(0, 2, size=(800, p)).astype(float)
+        X = X[~np.all(X == 1.0, axis=1)]  # the all-ones cell stays unseen
+        y = rng.random(len(X))
+        w = rng.uniform(0.5, 2.0, size=len(X))
+        model = fit_learner("glm_sat", X, y, w=w)
+        assert (model.table is None) == (p > learners.SATURATED_MAX_FEATURES)
+        seen = X[X[:, 0] == 0.0][0]
+        off_grid = [seen.copy() for _ in range(3)]
+        off_grid[0][0] = 0.5    # an int cast would put it on the seen cell
+        off_grid[1][0] = 2.0    # an int code would be another cell's
+        off_grid[2][-1] = -1.0
+        Q = np.vstack([X, np.ones((1, p)), off_grid])
+        fallback = np.sum(w * y) / np.sum(w)
+        expected = np.full(len(Q), fallback)
+        for i, row in enumerate(X):
+            sel = np.all(X == row, axis=1)
+            expected[i] = np.sum(w[sel] * y[sel]) / np.sum(w[sel])
+        assert np.allclose(model.predict(Q), expected, rtol=0.0, atol=1e-12)
+        with pytest.raises(ValueError):
+            model.predict(X[:, :-1])
 
 
 def test_saturated_glm_product_basis_on_continuous():
