@@ -47,7 +47,6 @@ from .eif import (  # noqa: F401
     PseudoOutcomes,
     fit_nuisances,
     pseudo_contrast,
-    shift_weight_values,
 )
 from .subgroup import (  # noqa: F401
     BlipModel,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import oracle
 from .data import write_csv
+from .eif import CONTRAST_PAIRS
 from .errors import MedruleError
 from .plot import render_forest_plot
 from .report import PipelineError, load_config, run_pipeline
@@ -69,7 +70,7 @@ def _cmd_oracle(args) -> int:
             },
             "positivity_margin": {
                 f"{ap},{st}": oracle.positivity_margin(dgp, ap, st)
-                for ap, st in ((1, 1), (1, 0), (0, 0))
+                for ap, st in CONTRAST_PAIRS
             },
         }
     except (MedruleError, OSError, ValueError, KeyError) as exc:

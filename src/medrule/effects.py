@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .eif import NuisanceFits, pseudo_outcome_and_weight
-from .errors import PositivityDiagnosticWarning
+from .eif import NuisanceFits, PseudoOutcomes, pseudo_contrast
+from .errors import PositivityDiagnosticWarning, SchemaMismatch
 from .subgroup import SubgroupAssignment
 
 # contrast -> (minuend pair, subtrahend pair, rule-dependent). In the pairs
@@ -86,46 +86,14 @@ class EffectEstimate:
                 "n": self.n, "folds": self.folds}
 
 
-def _positivity_check(fits: NuisanceFits, pair, h: np.ndarray) -> None:
-    bound = 1.0 / fits.config.epsilon ** 3
+def _positivity_check(epsilon: float, pair, h: np.ndarray) -> None:
+    bound = 1.0 / epsilon ** 3
     worst = float(np.abs(h).max())
     if worst > bound:
         warnings.warn(
             f"shift weight reaches {worst:.3g} under contrast {pair}, "
             f"beyond 1/epsilon^3 = {bound:.3g}; estimates may be unstable",
-            PositivityDiagnosticWarning, stacklevel=4)
-
-
-def _estimate(dataset: Dataset, fits: NuisanceFits, rule: RuleSpec, contrast: str,
-              z_value: float, pair_values: dict) -> EffectEstimate:
-    """``estimate_effect`` with the (pseudo-outcome, shift weight) of each pair
-    taken from, or added to, ``pair_values``."""
-    d = rule.values(dataset)
-    if contrast not in CONTRASTS:
-        raise ValueError(f"unknown contrast {contrast!r}; choose from {tuple(CONTRASTS)}")
-    minuend, subtrahend, by_rule = CONTRASTS[contrast]
-    treated = d == 1
-    if by_rule and not np.any(treated):
-        c = np.zeros(dataset.n)  # both arms coincide row-wise: exact zero
-    else:
-        for pair in (minuend, subtrahend):
-            if pair not in pair_values:
-                pair_values[pair] = pseudo_outcome_and_weight(dataset, fits, *pair)
-        for pair in sorted((minuend, subtrahend)):
-            _positivity_check(fits, pair, pair_values[pair][1])
-        c = pair_values[minuend][0] - pair_values[subtrahend][0]
-        if by_rule:
-            c = np.where(treated, c, 0.0)
-    w = dataset.weights
-    wsum = float(np.sum(w))
-    point = float(np.sum(w * c) / wsum)
-    var = float(np.sum(w * (c - point) ** 2) / wsum)
-    se = float(np.sqrt(var / dataset.n))
-    return EffectEstimate(contrast=contrast, rule=rule.label,
-                          arms=_arms(contrast), estimate=point,
-                          se=se, ci_low=point - z_value * se,
-                          ci_high=point + z_value * se, n=dataset.n,
-                          folds=fits.plan.folds)
+            PositivityDiagnosticWarning, stacklevel=3)
 
 
 def estimate_effect(dataset: Dataset, fits: NuisanceFits, rule: RuleSpec,
@@ -135,15 +103,41 @@ def estimate_effect(dataset: Dataset, fits: NuisanceFits, rule: RuleSpec,
     The point is the weighted mean of the per-row contrast; the variance is
     the weighted (Hajek-centered) sample variance of that contrast over n.
     """
-    return _estimate(dataset, fits, rule, contrast, z_value, {})
+    return effect_table(dataset, pseudo_contrast(dataset, fits), [rule],
+                        (contrast,), z_value)[0]
 
 
-def effect_table(dataset: Dataset, fits: NuisanceFits, rules,
+def effect_table(dataset: Dataset, pseudo: PseudoOutcomes, rules,
                  contrasts=("indirect", "total"),
                  z_value: float = 1.96) -> list[EffectEstimate]:
-    """One estimate per (rule, contrast): the interventional indirect and
-    total effects for each rule type, mirroring a forest-plot layout. Each
-    contrast pair's pseudo-outcomes are computed once per call."""
-    pair_values = {}
-    return [_estimate(dataset, fits, rule, contrast, z_value, pair_values)
-            for rule in rules for contrast in contrasts]
+    """One estimate per (rule, contrast), as ``estimate_effect`` describes,
+    all from the one ``pseudo_contrast`` result: the interventional indirect
+    and total effects for each rule type, mirroring a forest-plot layout."""
+    if pseudo.n != dataset.n:
+        raise SchemaMismatch("pseudo-outcomes belong to a different dataset")
+    w = dataset.weights
+    wsum = float(np.sum(w))
+    table = []
+    for rule in rules:
+        treated = rule.values(dataset) == 1
+        for contrast in contrasts:
+            if contrast not in CONTRASTS:
+                raise ValueError(
+                    f"unknown contrast {contrast!r}; choose from {tuple(CONTRASTS)}")
+            minuend, subtrahend, by_rule = CONTRASTS[contrast]
+            if by_rule and not np.any(treated):
+                c = np.zeros(dataset.n)  # both arms coincide row-wise: exact zero
+            else:
+                c = pseudo[minuend] - pseudo[subtrahend]
+                for pair in sorted((minuend, subtrahend)):
+                    _positivity_check(pseudo.epsilon, pair, pseudo.h[pair])
+                if by_rule:
+                    c = np.where(treated, c, 0.0)
+            point = float(np.sum(w * c) / wsum)
+            var = float(np.sum(w * (c - point) ** 2) / wsum)
+            se = float(np.sqrt(var / dataset.n))
+            table.append(EffectEstimate(
+                contrast=contrast, rule=rule.label, arms=_arms(contrast),
+                estimate=point, se=se, ci_low=point - z_value * se,
+                ci_high=point + z_value * se, n=dataset.n, folds=pseudo.folds))
+    return table

@@ -186,11 +186,8 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
             u_target = (b_obs[:, ap] * h_tr)[a_tr == ap]
             m_u = fit(np.column_stack([z[:, None], Wb]), u_target, tr[a_tr == ap],
                       5 + 2 * k)
-            # evaluated on the a = a* rows themselves: a BLAS product's result
-            # for a row can depend on the row's position in the batch
-            sub = _roles(evaluate(fm, tr[a_tr == st]))
-            m_v = fit(Wb, _plugin(sub["outcome"], sub["z_given_a"], ap), tr[a_tr == st],
-                      6 + 2 * k)
+            v_target = _plugin(v["outcome"], v["z_given_a"], ap)[a_tr == st]
+            m_v = fit(Wb, v_target, tr[a_tr == st], 6 + 2 * k)
             fm.projections[(ap, st)] = (m_u, m_v)
         return fm
 
@@ -230,40 +227,21 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
                         clip_fractions=clip_fractions)
 
 
-def shift_weight_values(dataset: Dataset, fits: NuisanceFits,
-                        a_prime: int, a_star: int) -> np.ndarray:
-    """The mediator-shift weight h at each row's observed (z, m, w).
-
-    Computed from the literal three-ratio formula; when a' = a* the
-    propensity ratios cancel to exactly one and h reduces to q/r.
-    """
-    z = dataset.column(dataset.schema.post_treatment).astype(float)
-    return _shift_weight(fits.propensity1, fits.propensity_given_m1,
-                         fits.z_given_a1[:, a_prime], fits.z_given_am1[:, a_prime],
-                         z, a_prime, a_star)
-
-
-def pseudo_outcome_and_weight(dataset: Dataset, fits: NuisanceFits, a_prime: int,
-                              a_star: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row pseudo-outcomes for one contrast pair and the shift weight h
-    they use, computed from (dataset, fits) on every call."""
+def _pair_pseudo_outcome(fits: NuisanceFits, a, z, y, a_prime: int,
+                         a_star: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row pseudo-outcome D^(a', a*) and the mediator-shift weight h it
+    uses, h from the literal three-ratio formula at each row's observed
+    (z, m, w); when a' = a* the propensity ratios cancel to exactly one and h
+    reduces to q/r."""
     pair = (a_prime, a_star)
-    if pair not in fits.u_vals:
-        raise MissingArm(pair)
-    if dataset.n != fits.plan.n:
-        raise SchemaMismatch("nuisance fits belong to a different dataset")
-    schema = dataset.schema
-    a = dataset.column(schema.treatment).astype(float)
-    z = dataset.column(schema.post_treatment).astype(float)
-    y = dataset.column(schema.outcome).astype(float)
-
     ind_ap = (a == a_prime).astype(float)
     ind_st = (a == a_star).astype(float)
     g_ap = _prob_of(fits.propensity1, a_prime)
     g_st = _prob_of(fits.propensity1, a_star)
     q1 = fits.z_given_a1[:, a_prime]
-    h = shift_weight_values(dataset, fits, a_prime, a_star)
-    b_obs = fits.outcome_az[np.arange(dataset.n), a_prime, z.astype(int)]
+    h = _shift_weight(fits.propensity1, fits.propensity_given_m1, q1,
+                      fits.z_given_am1[:, a_prime], z, a_prime, a_star)
+    b_obs = fits.outcome_az[np.arange(len(z)), a_prime, z.astype(int)]
     u = fits.u_vals[pair]
     v = fits.v_vals[pair]
     terms = {
@@ -273,7 +251,7 @@ def pseudo_outcome_and_weight(dataset: Dataset, fits: NuisanceFits, a_prime: int
                                                     a_prime) - v),
         "projection": v,
     }
-    total = np.zeros(dataset.n)
+    total = np.zeros(len(z))
     for name, arr in terms.items():
         bad = np.nonzero(~np.isfinite(arr))[0]
         if bad.size:
@@ -284,26 +262,51 @@ def pseudo_outcome_and_weight(dataset: Dataset, fits: NuisanceFits, a_prime: int
 
 @dataclass
 class PseudoOutcomes:
-    """Blip transform per row: the (1,1) and (1,0) arms and their difference,
-    with fold provenance and shift-weight extremes for positivity audits."""
+    """Per-row pseudo-outcome ``d[pair]`` and shift weight ``h[pair]`` of
+    every fitted contrast pair (a', a*), and the blip transform ``values`` =
+    D^(1,1) - D^(1,0) (None when the fits lack either pair). Carries the fold
+    provenance, and the clipping epsilon and fold count that effect estimates
+    audit against and report."""
 
-    d11: np.ndarray
-    d10: np.ndarray
-    values: np.ndarray
+    d: dict
+    h: dict
+    values: np.ndarray | None
     fold: np.ndarray
-    h_range: dict
+    epsilon: float
+    folds: int
+
+    def __getitem__(self, pair) -> np.ndarray:
+        """D^(a', a*) per row; MissingArm when the fits lack the pair."""
+        if pair not in self.d:
+            raise MissingArm(pair)
+        return self.d[pair]
+
+    @property
+    def d11(self) -> np.ndarray:
+        return self[1, 1]
+
+    @property
+    def d10(self) -> np.ndarray:
+        return self[1, 0]
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self.fold)
 
 
 def pseudo_contrast(dataset: Dataset, fits: NuisanceFits) -> PseudoOutcomes:
-    """D = D^(1,1) - D^(1,0): the unbiased transform whose conditional mean
-    given V is the blip."""
-    d11, h11 = pseudo_outcome_and_weight(dataset, fits, 1, 1)
-    d10, h10 = pseudo_outcome_and_weight(dataset, fits, 1, 0)
-    h_range = {(1, 1): (float(h11.min()), float(h11.max())),
-               (1, 0): (float(h10.min()), float(h10.max()))}
-    return PseudoOutcomes(d11=d11, d10=d10, values=d11 - d10,
-                          fold=fits.plan.assignment.copy(), h_range=h_range)
+    """Every fitted pair's pseudo-outcome and shift weight, each built once
+    from (dataset, fits), and D = D^(1,1) - D^(1,0): the unbiased transform
+    whose conditional mean given V is the blip."""
+    if dataset.n != fits.plan.n:
+        raise SchemaMismatch("nuisance fits belong to a different dataset")
+    schema = dataset.schema
+    a = dataset.column(schema.treatment).astype(float)
+    z = dataset.column(schema.post_treatment).astype(float)
+    y = dataset.column(schema.outcome).astype(float)
+    d, h = {}, {}
+    for pair in fits.pairs:
+        d[pair], h[pair] = _pair_pseudo_outcome(fits, a, z, y, *pair)
+    values = d[1, 1] - d[1, 0] if (1, 1) in d and (1, 0) in d else None
+    return PseudoOutcomes(d=d, h=h, values=values, fold=fits.plan.assignment.copy(),
+                          epsilon=fits.config.epsilon, folds=fits.plan.folds)

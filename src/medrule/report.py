@@ -20,13 +20,19 @@ from . import __version__
 from .crossfit import make_plan
 from .data import ColumnSchema, Dataset, read_csv, validate_dataset, write_csv
 from .effects import constant_rule, effect_table, estimated_rule
-from .eif import NuisanceConfig, fit_nuisances, pseudo_contrast, shift_weight_values
+from .eif import NuisanceConfig, fit_nuisances, pseudo_contrast
 from .errors import ConfigError, MedruleError
 from .learners import make_learner
 from .plot import render_forest_plot
 from .subgroup import assign_subgroup, fit_blip, subgroup_summary
 
 BLIP_METHODS = ("stack", "adaptive-lasso")
+# the run config's keys (README); "threads" is accepted from older configs
+# and ignored
+CONFIG_KEYS = ("data", "roles", "folds", "seed", "stack", "blip_methods", "epsilon",
+               "output_dir", "z_value", "threads")
+ROLE_KEYS = ("baseline", "rule_covariates", "treatment", "post_treatment", "mediators",
+             "outcome", "weight", "outcome_range", "categorical_levels")
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,10 @@ def load_config(path) -> RunConfig:
         doc = json.load(fh)
     try:
         roles = doc["roles"]
+        unknown = [k for k in doc if k not in CONFIG_KEYS]
+        unknown += [f"roles.{k}" for k in roles if k not in ROLE_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
         schema = ColumnSchema(
             baseline=tuple(roles["baseline"]),
             rule_covariates=tuple(roles["rule_covariates"]),
@@ -109,17 +119,6 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def _pair_key(pair) -> str:
-    return f"{pair[0]},{pair[1]}"
-
-
-def _shift_weight_range(dataset, fits, pseudo, pair) -> tuple[float, float]:
-    if pair in pseudo.h_range:
-        return pseudo.h_range[pair]
-    h = shift_weight_values(dataset, fits, *pair)
-    return float(h.min()), float(h.max())
-
-
 def run_pipeline(config: RunConfig, write: bool = True) -> dict:
     """Ingest, cross-fit, estimate and report; returns the report dict.
 
@@ -151,7 +150,7 @@ def run_pipeline(config: RunConfig, write: bool = True) -> dict:
         with _stage("effects"):
             rules = [constant_rule(1, "no-individualization")]
             rules += [estimated_rule(assignments[m], m) for m in config.blip_methods]
-            table = effect_table(dataset, fits, rules, z_value=config.z_value)
+            table = effect_table(dataset, pseudo, rules, z_value=config.z_value)
 
     report = {
         "version": __version__,
@@ -165,9 +164,8 @@ def run_pipeline(config: RunConfig, write: bool = True) -> dict:
         "diagnostics": {
             "clip_fractions": {k: float(v) for k, v in fits.clip_fractions.items()},
             "shift_weight_range": {
-                _pair_key(p): dict(zip(("min", "max"), _shift_weight_range(
-                    dataset, fits, pseudo, p)))
-                for p in sorted(fits.pairs)
+                f"{ap},{st}": {"min": float(h.min()), "max": float(h.max())}
+                for (ap, st), h in sorted(pseudo.h.items())
             },
             "warnings": sorted({f"{w.category.__name__}: {w.message}" for w in caught}),
         },

@@ -14,7 +14,7 @@ import numpy as np
 
 from .crossfit import CrossFitPlan, fit_folds, out_of_fold
 from .data import Dataset, feature_block
-from .errors import SchemaMismatch
+from .errors import MissingArm, SchemaMismatch
 from .eif import PseudoOutcomes
 from .learners import AdaptiveLassoModel, fit_adaptive_lasso, fit_stack
 
@@ -40,6 +40,8 @@ def fit_blip(pseudo: PseudoOutcomes, dataset: Dataset, plan: CrossFitPlan,
     """
     if pseudo.n != dataset.n or not np.array_equal(pseudo.fold, plan.assignment):
         raise SchemaMismatch("pseudo-outcomes were not computed under this plan")
+    if pseudo.values is None:
+        raise MissingArm((1, 0) if (1, 1) in pseudo.d else (1, 1))
     Xv, names = feature_block(dataset, dataset.schema.rule_covariates)
     d = pseudo.values
     w = dataset.weights

@@ -3,8 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from medrule import constant_rule, effect_table, estimate_effect, estimated_rule
-from medrule.errors import MissingArm, PositivityDiagnosticWarning
+from medrule import (
+    constant_rule,
+    effect_table,
+    estimate_effect,
+    estimated_rule,
+    pseudo_contrast,
+)
+from medrule.errors import MissingArm, PositivityDiagnosticWarning, SchemaMismatch
 from medrule.oracle import (
     derive_true_nuisances,
     oracle_pseudo_values,
@@ -75,13 +81,41 @@ def test_extensionally_equal_rules_give_identical_estimates(big_run):
 def test_effect_table_mirrors_rule_types(big_run):
     rules = [constant_rule(1, "no-individualization"),
              estimated_rule(big_run.stack_assignment, "stack")]
-    table = effect_table(big_run.dataset, big_run.fits, rules)
+    table = effect_table(big_run.dataset, big_run.pseudo, rules)
     assert [(e.rule, e.contrast) for e in table] == [
         ("no-individualization", "indirect"), ("no-individualization", "total"),
         ("stack", "indirect"), ("stack", "total")]
     for est in table:
         assert est.ci_low <= est.estimate <= est.ci_high
         assert est.n == big_run.dataset.n and est.folds == 5
+
+
+def test_effect_table_rows_equal_single_estimates(big_run):
+    ds, fits = big_run.dataset, big_run.fits
+    rules = [constant_rule(1), constant_rule(0),
+             estimated_rule(big_run.stack_assignment, "stack")]
+    contrasts = ("indirect", "direct", "total", "piie", "pite")
+    table = effect_table(ds, pseudo_contrast(ds, fits), rules, contrasts)
+    assert table == [estimate_effect(ds, fits, rule, contrast)
+                     for rule in rules for contrast in contrasts]
+
+
+def test_effects_need_only_the_pairs_they_use(crossover):
+    from medrule import NuisanceConfig, fit_blip, fit_nuisances, make_plan, simulate
+    ds = simulate(crossover, 600, seed=42)
+    plan = make_plan(ds.n, 3, seed=5)
+    fits = fit_nuisances(ds, plan, NuisanceConfig(stack=("glm",), seed=1,
+                                                  pairs=((1, 1), (0, 0))))
+    est = estimate_effect(ds, fits, constant_rule(1), "pite")
+    assert np.isfinite(est.estimate) and est.se > 0
+    with pytest.raises(MissingArm):
+        estimate_effect(ds, fits, constant_rule(1), "piie")
+    pseudo = pseudo_contrast(ds, fits)
+    assert pseudo.values is None
+    with pytest.raises(MissingArm):
+        fit_blip(pseudo, ds, plan)
+    with pytest.raises(SchemaMismatch):
+        effect_table(simulate(crossover, 500, seed=43), pseudo, [constant_rule(1)])
 
 
 def test_missing_arm_surfaces(big_run):

@@ -6,12 +6,10 @@ from medrule import (
     fit_nuisances,
     make_plan,
     pseudo_contrast,
-    shift_weight_values,
     simulate,
     validate_dataset,
 )
 from medrule.data import feature_block
-from medrule.eif import pseudo_outcome_and_weight
 from medrule.errors import (
     ClippingSaturationWarning,
     DegenerateFold,
@@ -107,7 +105,7 @@ def test_saturated_fits_converge_to_oracle_tables(crossover):
 
 def test_rows_outside_both_arms_reduce_to_projection(big_run):
     ds, fits = big_run.dataset, big_run.fits
-    d11 = pseudo_outcome_and_weight(ds, fits, 1, 1)[0]
+    d11 = pseudo_contrast(ds, fits)[1, 1]
     untreated = ds.column("A") == 0.0
     assert np.array_equal(d11[untreated], fits.v_vals[(1, 1)][untreated])
 
@@ -115,7 +113,7 @@ def test_rows_outside_both_arms_reduce_to_projection(big_run):
 def test_shift_weight_literal_cancellation(big_run):
     ds, fits = big_run.dataset, big_run.fits
     z = ds.column("Z")
-    h11 = shift_weight_values(ds, fits, 1, 1)
+    h11 = pseudo_contrast(ds, fits).h[1, 1]
     q1 = fits.z_given_a1[:, 1]
     r1 = fits.z_given_am1[:, 1]
     qr = np.where(z == 1.0, q1, 1.0 - q1) / np.where(z == 1.0, r1, 1.0 - r1)
@@ -148,7 +146,7 @@ def test_nuisance_fit_invariants(big_run):
 def test_pseudo_contrast_fold_provenance(big_run):
     pseudo = pseudo_contrast(big_run.dataset, big_run.fits)
     assert np.array_equal(pseudo.fold, big_run.plan.assignment)
-    assert set(pseudo.h_range) == {(1, 1), (1, 0)}
+    assert set(pseudo.h) == set(big_run.fits.pairs) == {(1, 1), (1, 0), (0, 0)}
 
 
 def test_missing_arm(crossover):
@@ -157,7 +155,7 @@ def test_missing_arm(crossover):
     fits = fit_nuisances(ds, plan, NuisanceConfig(stack=("glm",), seed=1,
                                                   pairs=((1, 1), (1, 0))))
     with pytest.raises(MissingArm):
-        pseudo_outcome_and_weight(ds, fits, 0, 0)[0]
+        pseudo_contrast(ds, fits)[0, 0]
 
 
 def test_degenerate_fold_raises(crossover):
@@ -176,7 +174,7 @@ def test_non_finite_pseudo_outcome_reported(big_run):
     broken = dataclasses.replace(fits, v_vals={p: v.copy() for p, v in fits.v_vals.items()})
     broken.v_vals[(1, 1)][5] = np.nan
     with pytest.raises(NonFinitePseudoOutcome) as err:
-        pseudo_outcome_and_weight(big_run.dataset, broken, 1, 1)[0]
+        pseudo_contrast(big_run.dataset, broken)
     assert err.value.row == 5
 
 
@@ -213,9 +211,36 @@ def test_pseudo_outcomes_follow_the_dataset_passed(big_run):
     table = {name: ds_a.column(name) for name in ds_a.schema.all_columns}
     table["Y"] = 1.0 - table["Y"]
     ds_b = validate_dataset(table, ds_a.schema)
-    d_a = pseudo_outcome_and_weight(ds_a, big_run.fits, 1, 1)[0]
-    d_b = pseudo_outcome_and_weight(ds_b, big_run.fits, 1, 1)[0]
+    d_a = pseudo_contrast(ds_a, big_run.fits)[1, 1]
+    d_b = pseudo_contrast(ds_b, big_run.fits)[1, 1]
     assert not np.array_equal(d_a, d_b)
     est_a = estimate_effect(ds_a, big_run.fits, constant_rule(1), "piie")
     est_b = estimate_effect(ds_b, big_run.fits, constant_rule(1), "piie")
     assert est_a.estimate != est_b.estimate
+
+
+def test_run_pipeline_builds_each_pair_shift_weight_once(crossover, tmp_path,
+                                                        monkeypatch):
+    # counts full-n evaluations of the shift weight per contrast pair over one
+    # run; training-fold evaluations inside fit_nuisances are shorter
+    import medrule.eif as eif
+    from medrule.data import write_csv
+    from medrule.report import RunConfig, run_pipeline
+
+    n = 600
+    ds = simulate(crossover, n, seed=28)
+    write_csv(tmp_path / "data.csv", {c: ds.column(c) for c in ds.schema.all_columns})
+    config = RunConfig(data=str(tmp_path / "data.csv"), schema=ds.schema,
+                       seed=2, stack=("mean", "glm"))
+    calls = {}
+    inner = eif._shift_weight
+
+    def counted(g1, e1, q1, r1, z, a_prime, a_star):
+        if len(z) == n:
+            calls[a_prime, a_star] = calls.get((a_prime, a_star), 0) + 1
+        return inner(g1, e1, q1, r1, z, a_prime, a_star)
+
+    monkeypatch.setattr(eif, "_shift_weight", counted)
+    report = run_pipeline(config, write=False)
+    assert calls == {pair: 1 for pair in eif.CONTRAST_PAIRS}
+    assert len(report["diagnostics"]["shift_weight_range"]) == 3

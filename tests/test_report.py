@@ -263,6 +263,27 @@ def test_legacy_threads_key_is_ignored(tmp_path):
     assert with_key == load_config(tmp_path / "config.json")
 
 
+@pytest.mark.parametrize("top, roles, key", [
+    ({"z_vaule": 2.58}, {}, "z_vaule"),
+    ({}, {"weigth": "sw"}, "roles.weigth"),
+])
+def test_misspelt_config_key_rejected(tmp_path, top, roles, key):
+    doc = json.loads(write_run_inputs(tmp_path, n=50, **top).read_text())
+    doc["roles"].update(roles)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=key):
+        load_config(tmp_path / "config.json")
+
+
+def test_every_documented_config_key_loads(tmp_path):
+    roles = {"baseline": ["w"], "rule_covariates": ["w"], "treatment": "A",
+             "post_treatment": "Z", "mediators": ["m"], "outcome": "Y",
+             "weight": None, "outcome_range": [0, 1], "categorical_levels": {}}
+    config = load_config(write_run_inputs(tmp_path, n=50, roles=roles, z_value=2.58))
+    assert config.z_value == 2.58 and config.schema.weight is None
+    assert config.output_dir == str(tmp_path / "out")
+
+
 def test_cli_reports_stage_on_pipeline_error(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({

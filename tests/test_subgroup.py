@@ -49,8 +49,9 @@ def test_flags_are_exact_complements(big_run):
 
 def test_zero_pseudo_outcomes_assign_everyone_non_harmful(big_run):
     zeros = np.zeros(big_run.dataset.n)
-    pseudo = PseudoOutcomes(d11=zeros, d10=zeros, values=zeros,
-                            fold=big_run.plan.assignment.copy(), h_range={})
+    pseudo = PseudoOutcomes(d={(1, 1): zeros, (1, 0): zeros}, h={}, values=zeros,
+                            fold=big_run.plan.assignment.copy(), epsilon=0.01,
+                            folds=5)
     blip = fit_blip(pseudo, big_run.dataset, big_run.plan,
                     method="stack", stack=("mean", "glm"), seed=1)
     asg = assign_subgroup(blip, big_run.dataset)
@@ -60,9 +61,9 @@ def test_zero_pseudo_outcomes_assign_everyone_non_harmful(big_run):
 
 def test_positive_scaling_leaves_flags_unchanged(big_run):
     pseudo = big_run.pseudo
-    scaled = PseudoOutcomes(d11=pseudo.d11 * 3.0, d10=pseudo.d10 * 3.0,
-                            values=pseudo.values * 3.0,
-                            fold=pseudo.fold.copy(), h_range=pseudo.h_range)
+    scaled = PseudoOutcomes(d={p: d * 3.0 for p, d in pseudo.d.items()}, h=pseudo.h,
+                            values=pseudo.values * 3.0, fold=pseudo.fold.copy(),
+                            epsilon=pseudo.epsilon, folds=pseudo.folds)
     base = assign_subgroup(
         fit_blip(pseudo, big_run.dataset, big_run.plan, method="stack",
                  stack=("mean", "glm"), seed=9), big_run.dataset)
