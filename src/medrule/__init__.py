@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .data import (  # noqa: F401
     ColumnSchema,
     Dataset,
-    WeightVector,
     feature_block,
     normalize_weights,
     read_csv,

@@ -32,7 +32,8 @@ class ColumnSchema:
     ``rule_covariates`` must be a subset of ``baseline``; treatment and
     post-treatment columns are binary; the outcome lives in a declared
     closed interval. Columns listed in ``categorical_levels`` are treated
-    as categoricals with exactly that level set.
+    as categoricals with exactly that level set; only baseline and mediator
+    columns can be categorical.
     """
 
     baseline: tuple[str, ...]
@@ -54,6 +55,10 @@ class ColumnSchema:
             self, "categorical_levels",
             {k: tuple(v) for k, v in dict(self.categorical_levels).items()},
         )
+        not_features = set(self.categorical_levels) - {*self.baseline, *self.mediators}
+        if not_features:
+            raise ValueError(f"categorical_levels names {sorted(not_features)}, but only "
+                             "baseline and mediator columns can be categorical")
         missing_v = set(self.rule_covariates) - set(self.baseline)
         if missing_v:
             raise ValueError(f"rule covariates {sorted(missing_v)} are not baseline columns")
@@ -77,35 +82,25 @@ class ColumnSchema:
         return name in self.categorical_levels
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-row nonnegative weights, optionally normalized to mean one."""
-
-    values: np.ndarray
-    mean_one: bool = False
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def normalize_weights(w: WeightVector) -> WeightVector:
-    """Rescale weights by n / sum(w) so that their mean is exactly one.
+def normalize_weights(values) -> np.ndarray:
+    """Rescale nonnegative weights by n / sum(w) so that their mean is exactly
+    one, as a read-only array.
 
     Ratios w_i / w_j are preserved. Already-normalized input is returned
     unchanged so normalization is idempotent.
     """
-    vals = w.values
+    vals = np.asarray(values, dtype=float)
     negative = np.flatnonzero(vals < 0)
     if negative.size:
         raise NegativeWeight(int(negative[0]), float(vals[negative[0]]))
     total = float(np.sum(vals))
     if total <= 0.0:
         raise AllZeroWeights()
-    if abs(total / len(vals) - 1.0) <= MEAN_ONE_TOL:
-        return WeightVector(vals, mean_one=True)
-    return WeightVector(vals * (len(vals) / total), mean_one=True)
+    if abs(total / len(vals) - 1.0) > MEAN_ONE_TOL:
+        vals = vals * (len(vals) / total)
+    out = vals.view()  # read-only without touching the caller's array
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -240,7 +235,7 @@ def validate_dataset(raw_table, schema: ColumnSchema) -> Dataset:
         raise OutOfRangeOutcome(int(bad[0]), float(y[bad[0]]), lo, hi)
 
     if schema.weight is not None:
-        weights = normalize_weights(WeightVector(columns[schema.weight])).values
+        weights = normalize_weights(columns[schema.weight])
     else:
         weights = np.ones(n)
         weights.setflags(write=False)

@@ -1,13 +1,14 @@
 """Weighted regression learners, the stacking ensemble, and the adaptive lasso.
 
 Every learner exposes ``fit(X, y, w, seed) -> model`` with ``model.predict(X)``
-and is deterministic given (data, weights, seed). Binary {0,1} targets are fit
-as probabilities and predictions are clipped to [0, 1]; continuous targets are
-clipped to the observed training range expanded by 10%. Stack weights are the
-exact simplex-constrained least-squares solution; ties go to the fewest members,
-then the earliest in stack order. Ridge and lasso paths are exact from the
-weighted sums of each training set; the one iterative solver, IRLS, warns when
-it stops at its cap.
+and is deterministic given (data, weights, seed). Every fit starts from
+``_prepare`` and every model is a ``_Bounded``, whose ``predict`` checks the
+features and clips the model's raw prediction to its bounds: [0, 1] for binary
+{0,1} targets, fit as probabilities, and the observed training range expanded
+by 10% for continuous ones. Stack weights are the exact simplex-constrained
+least-squares solution; ties go to the fewest members, then the earliest in
+stack order. Ridge and lasso paths are exact from the weighted sums of each
+training set; the one iterative solver, IRLS, warns when it stops at its cap.
 """
 from __future__ import annotations
 
@@ -62,6 +63,28 @@ def _pred_bounds(y: np.ndarray, binary: bool) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _prepare(X, y, w):
+    """The fit preamble: checked X, y and w (ones when None), whether y is
+    binary, and the prediction bounds ``(lo, hi)``."""
+    X = _check_features(X)
+    y, w = _check_target(y, w)
+    if not (X.shape[0] == len(y) == len(w)):
+        raise ValueError("X, y and w must agree in length")
+    binary = _is_binary(y)
+    return X, y, w, binary, _pred_bounds(y, binary)
+
+
+@dataclass(kw_only=True)
+class _Bounded:
+    """A fitted model: ``predict`` is its ``_raw`` prediction on checked
+    features, clipped to the bounds ``[lo, hi]`` of the fit."""
+    lo: float
+    hi: float
+
+    def predict(self, X) -> np.ndarray:
+        return np.clip(self._raw(_check_features(X)), self.lo, self.hi)
+
+
 def _wmean(y, w) -> float:
     return float(np.sum(w * y) / np.sum(w))
 
@@ -74,23 +97,18 @@ def _expit(x: np.ndarray) -> np.ndarray:
 # mean learner
 
 @dataclass
-class FittedMean:
+class FittedMean(_Bounded):
     value: float
-    lo: float
-    hi: float
 
-    def predict(self, X) -> np.ndarray:
-        X = _check_features(X)
-        return np.full(X.shape[0], np.clip(self.value, self.lo, self.hi))
+    def _raw(self, X) -> np.ndarray:
+        return np.full(X.shape[0], self.value)
 
 
 class MeanLearner:
     name = "mean"
 
     def fit(self, X, y, w=None, seed: int = 0) -> FittedMean:
-        X = _check_features(X)
-        y, w = _check_target(y, w)
-        lo, hi = _pred_bounds(y, _is_binary(y))
+        X, y, w, _, (lo, hi) = _prepare(X, y, w)
         return FittedMean(value=_wmean(y, w), lo=lo, hi=hi)
 
 
@@ -128,25 +146,21 @@ def _product_basis(X: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class FittedGLM:
+class FittedGLM(_Bounded):
     beta: np.ndarray            # intercept first
     binary: bool
-    lo: float
-    hi: float
     singular_fallback: bool
     saturated: bool = False
 
-    def predict(self, X) -> np.ndarray:
-        X = _check_features(X)
+    def _raw(self, X) -> np.ndarray:
         if self.saturated:
             X = _product_basis(X)
         eta = self.beta[0] + X @ self.beta[1:]
-        out = _expit(eta) if self.binary else eta
-        return np.clip(out, self.lo, self.hi)
+        return _expit(eta) if self.binary else eta
 
 
 @dataclass
-class FittedCellMeans:
+class FittedCellMeans(_Bounded):
     """Saturated fit over all-binary features: one weighted mean per cell. Up to
     ``SATURATED_MAX_FEATURES`` features, predict indexes ``table`` by cell code;
     above it, it searches ``keys``. Unseen cells and off-grid rows get ``fallback``."""
@@ -154,19 +168,14 @@ class FittedCellMeans:
     means: np.ndarray
     fallback: float
     n_features: int
-    lo: float
-    hi: float
     table: np.ndarray | None = None
 
-    def predict(self, X) -> np.ndarray:
-        X = _check_features(X)
+    def _raw(self, X) -> np.ndarray:
         code = _cell_codes(X, self.n_features)
         if self.table is not None:
-            out = self.table[code]
-        else:
-            pos = np.minimum(np.searchsorted(self.keys, code), len(self.keys) - 1)
-            out = np.where(self.keys[pos] == code, self.means[pos], self.fallback)
-        return np.clip(out, self.lo, self.hi)
+            return self.table[code]
+        pos = np.minimum(np.searchsorted(self.keys, code), len(self.keys) - 1)
+        return np.where(self.keys[pos] == code, self.means[pos], self.fallback)
 
 
 def _cell_codes(X: np.ndarray, p: int) -> np.ndarray:
@@ -192,10 +201,7 @@ class GLMLearner:
         self.name = "glm_sat" if saturated else "glm"
 
     def fit(self, X, y, w=None, seed: int = 0):
-        X = _check_features(X)
-        y, w = _check_target(y, w)
-        binary = _is_binary(y)
-        lo, hi = _pred_bounds(y, binary)
+        X, y, w, binary, (lo, hi) = _prepare(X, y, w)
         if np.all(y == y[0]):
             # degenerate target: the exact fit is the constant itself
             return FittedMean(value=float(y[0]), lo=lo, hi=hi)
@@ -276,18 +282,15 @@ class GLMLearner:
 # penalized linear models (exact paths from weighted sums)
 
 @dataclass
-class FittedPenalized:
+class FittedPenalized(_Bounded):
     coef: np.ndarray            # original scale, full length
     intercept: float
     coef_std: np.ndarray        # standardized scale, full length
     lam: float
     binary: bool
-    lo: float
-    hi: float
 
-    def predict(self, X) -> np.ndarray:
-        X = _check_features(X)
-        return np.clip(self.intercept + X @ self.coef, self.lo, self.hi)
+    def _raw(self, X) -> np.ndarray:
+        return self.intercept + X @ self.coef
 
 
 def _standardize(M, pw, ridge):
@@ -381,10 +384,7 @@ class PenalizedLearner:
         self.name = "lasso" if self.l1_ratio == 1.0 else "ridge"
 
     def fit(self, X, y, w=None, seed: int = 0) -> FittedPenalized:
-        X = _check_features(X)
-        y, w = _check_target(y, w)
-        binary = _is_binary(y)
-        lo, hi = _pred_bounds(y, binary)
+        X, y, w, binary, (lo, hi) = _prepare(X, y, w)
         n, p = X.shape
         pw = (np.ones(p) if self.penalty_weights is None
               else np.asarray(self.penalty_weights, dtype=float))
@@ -491,27 +491,19 @@ def _best_stump(splits, resid, w):
 
 
 @dataclass
-class FittedBoost:
+class FittedBoost(_Bounded):
     base: float
     features: np.ndarray
     thresholds: np.ndarray
     left: np.ndarray
     right: np.ndarray
     binary: bool
-    lo: float
-    hi: float
 
-    def raw(self, X) -> np.ndarray:
-        X = _check_features(X)
+    def _raw(self, X) -> np.ndarray:
         F = np.full(X.shape[0], self.base)
         for j, t, lv, rv in zip(self.features, self.thresholds, self.left, self.right):
             F += GB_RATE * np.where(X[:, int(j)] <= t, lv, rv)
-        return F
-
-    def predict(self, X) -> np.ndarray:
-        F = self.raw(X)
-        out = _expit(F) if self.binary else F
-        return np.clip(out, self.lo, self.hi)
+        return _expit(F) if self.binary else F
 
 
 class GBStumpLearner:
@@ -523,10 +515,7 @@ class GBStumpLearner:
     name = "gbstump"
 
     def fit(self, X, y, w=None, seed: int = 0):
-        X = _check_features(X)
-        y, w = _check_target(y, w)
-        binary = _is_binary(y)
-        lo, hi = _pred_bounds(y, binary)
+        X, y, w, binary, (lo, hi) = _prepare(X, y, w)
         if np.all(y == y[0]):
             return FittedMean(value=float(y[0]), lo=lo, hi=hi)
         n = len(y)
@@ -602,10 +591,6 @@ def fit_learner(learner, X, y, w=None, seed: int = 0):
     """Fit one learner (instance or registry name) and return its model."""
     if isinstance(learner, str):
         learner = make_learner(learner)
-    X = _check_features(X)
-    y, w = _check_target(y, w)
-    if not (X.shape[0] == len(y) == len(w)):
-        raise ValueError("X, y and w must agree in length")
     if len(y) < 2:
         raise ValueError("need at least two rows to fit")
     return learner.fit(X, y, w, seed)
@@ -642,24 +627,21 @@ def _simplex_lsq(P: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class StackedEnsemble:
+class StackedEnsemble(_Bounded):
     member_names: list[str]
     models: list
     weights: np.ndarray
     cv_risks: np.ndarray | None
     stack_cv_risk: float | None
     binary: bool
-    lo: float
-    hi: float
     dropped: list[str] = field(default_factory=list)
 
-    def predict(self, X) -> np.ndarray:
-        X = _check_features(X)
+    def _raw(self, X) -> np.ndarray:
         out = np.zeros(X.shape[0])
         for alpha, model in zip(self.weights, self.models):
             if alpha != 0.0:
                 out += alpha * model.predict(X)
-        return np.clip(out, self.lo, self.hi)
+        return out
 
 
 def fit_stack(members, X, y, w=None, seed: int = 0) -> StackedEnsemble:
@@ -672,10 +654,7 @@ def fit_stack(members, X, y, w=None, seed: int = 0) -> StackedEnsemble:
     if not members:
         raise ValueError("the stack needs at least one member")
     members = [make_learner(m) if isinstance(m, str) else m for m in members]
-    X = _check_features(X)
-    y, w = _check_target(y, w)
-    binary = _is_binary(y)
-    lo, hi = _pred_bounds(y, binary)
+    X, y, w, binary, (lo, hi) = _prepare(X, y, w)
     n = len(y)
 
     if len(members) == 1:
@@ -719,19 +698,16 @@ def fit_stack(members, X, y, w=None, seed: int = 0) -> StackedEnsemble:
 # adaptive lasso
 
 @dataclass
-class AdaptiveLassoModel:
+class AdaptiveLassoModel(_Bounded):
     feature_names: list[str]
     ridge_magnitudes: np.ndarray    # first-stage |coef| on the standardized scale
     penalty_weights: np.ndarray     # inf forces an exact zero
     coef: np.ndarray                # original scale
     intercept: float
     lam: float
-    lo: float
-    hi: float
 
-    def predict(self, X) -> np.ndarray:
-        X = _check_features(X)
-        return np.clip(self.intercept + X @ self.coef, self.lo, self.hi)
+    def _raw(self, X) -> np.ndarray:
+        return self.intercept + X @ self.coef
 
     @property
     def selected(self) -> list[str]:
@@ -751,8 +727,7 @@ def fit_adaptive_lasso(X, y, w=None, seed: int = 0,
     Features the ridge zeroes out are excluded outright. The second stage
     picks its penalty by the one-SE rule, trading a little prediction risk
     for the sparser, more stable support an interpretable rule needs."""
-    X = _check_features(X)
-    y, w = _check_target(y, w)
+    X, y, w, _, (lo, hi) = _prepare(X, y, w)
     p = X.shape[1]
     names = list(feature_names) if feature_names is not None else [
         f"x{j}" for j in range(p)]
@@ -763,7 +738,6 @@ def fit_adaptive_lasso(X, y, w=None, seed: int = 0,
     mags = np.abs(ridge.coef_std)
     active = mags > 1e-12
     pweights = np.where(active, 1.0 / np.where(active, mags, 1.0), np.inf)
-    lo, hi = _pred_bounds(y, _is_binary(y))
 
     if not np.any(active):
         return AdaptiveLassoModel(feature_names=names, ridge_magnitudes=mags,

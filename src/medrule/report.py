@@ -70,6 +70,21 @@ class RunConfig:
             raise ConfigError(f"unknown blip methods: {sorted(unknown)}")
 
 
+def _list(key: str, value) -> tuple:
+    """A list-valued key's value; a string would otherwise split into characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a JSON list, got {value!r}")
+    return tuple(value)
+
+
+def _whole(key: str, value) -> int:
+    """An integer-valued key's value; whole floats such as 5.0 are accepted."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and float(value).is_integer()):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run config (see README for the layout)."""
     with open(path) as fh:
@@ -81,21 +96,23 @@ def load_config(path) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
         schema = ColumnSchema(
-            baseline=tuple(roles["baseline"]),
-            rule_covariates=tuple(roles["rule_covariates"]),
+            baseline=_list("roles.baseline", roles["baseline"]),
+            rule_covariates=_list("roles.rule_covariates", roles["rule_covariates"]),
             treatment=roles["treatment"],
             post_treatment=roles["post_treatment"],
-            mediators=tuple(roles["mediators"]),
+            mediators=_list("roles.mediators", roles["mediators"]),
             outcome=roles["outcome"],
             weight=roles.get("weight"),
-            outcome_range=tuple(roles.get("outcome_range", (0.0, 1.0))),
+            outcome_range=_list("roles.outcome_range",
+                                roles.get("outcome_range", (0.0, 1.0))),
             categorical_levels=roles.get("categorical_levels", {}),
         )
         return RunConfig(
             data=doc["data"], schema=schema,
-            folds=int(doc.get("folds", 5)), seed=int(doc.get("seed", 1)),
-            stack=tuple(doc.get("stack", ("mean", "glm", "lasso"))),
-            blip_methods=tuple(doc.get("blip_methods", BLIP_METHODS)),
+            folds=_whole("folds", doc.get("folds", 5)),
+            seed=_whole("seed", doc.get("seed", 1)),
+            stack=_list("stack", doc.get("stack", ("mean", "glm", "lasso"))),
+            blip_methods=_list("blip_methods", doc.get("blip_methods", BLIP_METHODS)),
             epsilon=float(doc.get("epsilon", 0.01)),
             output_dir=doc.get("output_dir", "medrule-out"),
             z_value=float(doc.get("z_value", 1.96)),

@@ -6,7 +6,8 @@ import pytest
 from medrule import (
     NuisanceConfig,
     assign_subgroup,
-    estimate_effect,
+    constant_rule,
+    effect_table,
     fit_blip,
     fit_nuisances,
     make_plan,
@@ -61,9 +62,7 @@ def big_run(crossover):
                     stack=("mean", "glm"), seed=5)
     assignment = assign_subgroup(blip, dataset)
     # touch every contrast arm so the fixture timing covers the full pipeline
-    from medrule import constant_rule
-    for contrast in ("piie", "pite"):
-        estimate_effect(dataset, fits, constant_rule(1), contrast)
+    effect_table(dataset, pseudo, [constant_rule(1)], ("piie", "pite"))
     elapsed = time.time() - t0
     return BigRun(dgp=crossover, dataset=dataset, plan=plan, fits=fits,
                   pseudo=pseudo, stack_assignment=assignment, elapsed=elapsed)

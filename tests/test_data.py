@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from medrule import ColumnSchema, WeightVector, feature_block, normalize_weights, validate_dataset
+from medrule import ColumnSchema, feature_block, normalize_weights, validate_dataset
 from medrule import data
 from medrule.data import read_csv, write_csv
 from medrule.errors import (
@@ -61,21 +61,27 @@ def test_weight_column_rescaled_to_mean_one():
 
 
 def test_normalize_identity_under_unit_weights():
-    out = normalize_weights(WeightVector(np.array([1.0, 1.0, 1.0])))
-    assert np.array_equal(out.values, [1.0, 1.0, 1.0])
-    assert out.mean_one
+    out = normalize_weights(np.array([1.0, 1.0, 1.0]))
+    assert np.array_equal(out, [1.0, 1.0, 1.0])
 
 
 def test_normalize_two_four():
-    out = normalize_weights(WeightVector(np.array([2.0, 4.0])))
+    out = normalize_weights(np.array([2.0, 4.0]))
     expected = np.array([2.0, 4.0]) * 2 / 6  # n / sum(w)
-    assert np.allclose(out.values, expected, atol=1e-15)
-    assert abs(out.values.mean() - 1.0) <= 1e-12
+    assert np.allclose(out, expected, atol=1e-15)
+    assert abs(out.mean() - 1.0) <= 1e-12
+
+
+def test_normalize_returns_read_only_and_leaves_input_writeable():
+    raw = np.array([1.0, 1.0])
+    for values in (raw, np.array([1.0, 3.0])):
+        out = normalize_weights(values)
+        assert not out.flags.writeable and values.flags.writeable
 
 
 def test_normalize_all_zero_rejected():
     with pytest.raises(AllZeroWeights):
-        normalize_weights(WeightVector(np.array([0.0, 0.0])))
+        normalize_weights(np.array([0.0, 0.0]))
 
 
 def test_negative_weight_rejected():
@@ -87,7 +93,7 @@ def test_negative_weight_rejected():
 def test_normalization_preserves_ratios(seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.1, 9.0, size=17)
-    out = normalize_weights(WeightVector(raw)).values
+    out = normalize_weights(raw)
     i, j = rng.integers(0, 17, size=2)
     assert out[i] / out[j] == pytest.approx(raw[i] / raw[j], rel=1e-12)
 
@@ -129,6 +135,18 @@ def test_categorical_levels_enforced_and_one_hot():
     assert np.array_equal(X[:, 1], [0, 1, 0, 1])
     with pytest.raises(MissingValue):
         validate_dataset(table(site=["a", "b", "d", "b"]), sch)
+
+
+@pytest.mark.parametrize("column", ["Y", "A", "Z", "wt", "unlisted"])
+def test_categorical_levels_only_on_baseline_and_mediators(column):
+    with pytest.raises(ValueError, match=f"categorical_levels names \\['{column}'\\]"):
+        schema(weight="wt", categorical_levels={column: ("0", "1")})
+
+
+def test_categorical_mediator_accepted():
+    sch = schema(categorical_levels={"m": ("0", "1")})
+    ds = validate_dataset(table(m=["1", "0", "1", "0"]), sch)
+    assert feature_block(ds, ("m",))[1] == ["m=1"]
 
 
 def test_validation_idempotent():

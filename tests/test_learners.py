@@ -63,6 +63,34 @@ def test_non_finite_feature_rejected():
         fit_learner("glm", np.array([[1.0], [np.nan]]), [0.0, 1.0])
 
 
+CONTRACT_FITS = [
+    *(pytest.param(lambda X, y, w, name=name: make_learner(name).fit(X, y, w), id=name)
+      for name in ("mean", "glm", "glm_sat", "lasso", "ridge", "gbstump")),
+    pytest.param(lambda X, y, w: fit_stack(["mean", "glm"], X, y, w), id="stack"),
+    pytest.param(fit_adaptive_lasso, id="adaptive-lasso"),
+]
+
+
+@pytest.mark.parametrize("fit", CONTRACT_FITS)
+def test_fitted_model_contract(fit):
+    """Every fit rejects X, y and w of mismatched lengths; every model rejects
+    non-finite features and keeps far-out predictions inside [lo, hi]."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(100, 2))
+    y = 1.0 + X[:, 0] - 0.5 * X[:, 1] + 0.1 * rng.normal(size=100)
+    w = rng.uniform(0.5, 2.0, size=100)
+    with pytest.raises(ValueError, match="agree in length"):
+        fit(X, y[:99], None)
+    with pytest.raises(ValueError, match="agree in length"):
+        fit(X, y, w[:99])
+    model = fit(X, y, w)
+    with pytest.raises(NonFiniteFeature):
+        model.predict(np.array([[0.0, np.nan]]))
+    pred = model.predict(np.array([[1e3, -1e3], [-1e3, 1e3], [50.0, 50.0]]))
+    assert np.all((model.lo <= pred) & (pred <= model.hi))
+    assert model.lo < y.min() and y.max() < model.hi
+
+
 def test_lasso_full_shrinkage_at_huge_penalty(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 3))

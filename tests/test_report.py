@@ -275,6 +275,45 @@ def test_misspelt_config_key_rejected(tmp_path, top, roles, key):
         load_config(tmp_path / "config.json")
 
 
+@pytest.mark.parametrize("top, roles, key", [
+    ({}, {"baseline": "w"}, "roles.baseline"),
+    ({}, {"rule_covariates": "w"}, "roles.rule_covariates"),
+    ({}, {"mediators": "m"}, "roles.mediators"),
+    ({}, {"outcome_range": "01"}, "roles.outcome_range"),
+    ({"stack": "glm"}, {}, "stack"),
+    ({"blip_methods": "stack"}, {}, "blip_methods"),
+    ({"folds": 2.7}, {}, "folds"),
+    ({"seed": 1.9}, {}, "seed"),
+    ({"seed": "2"}, {}, "seed"),
+    ({"seed": True}, {}, "seed"),
+])
+def test_wrong_shape_config_value_rejected(tmp_path, top, roles, key):
+    doc = json.loads(write_run_inputs(tmp_path, n=50).read_text())
+    doc.update(top)
+    doc["roles"].update(roles)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        load_config(tmp_path / "config.json")
+
+
+def test_whole_float_folds_and_seed_accepted(tmp_path):
+    config = load_config(write_run_inputs(tmp_path, n=50, folds=5.0, seed=2.0))
+    assert (config.folds, config.seed) == (5, 2)
+    assert type(config.folds) is int and type(config.seed) is int
+
+
+@pytest.mark.parametrize("column", ["Y", "A", "Z", "unlisted"])
+def test_cli_rejects_categorical_levels_on_non_features(tmp_path, capsys, column):
+    config_path = write_run_inputs(tmp_path, n=50)
+    doc = json.loads(config_path.read_text())
+    doc["roles"]["categorical_levels"] = {column: ["0", "1"]}
+    config_path.write_text(json.dumps(doc))
+    assert main(["run", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]") and f"['{column}']" in err
+    assert "Traceback" not in err
+
+
 def test_every_documented_config_key_loads(tmp_path):
     roles = {"baseline": ["w"], "rule_covariates": ["w"], "treatment": "A",
              "post_treatment": "Z", "mediators": ["m"], "outcome": "Y",
