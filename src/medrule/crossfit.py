@@ -1,8 +1,9 @@
 """J-fold cross-fitting: train on each fold's complement, evaluate in-fold.
 
-Every fold split in the package comes from ``make_plan``, and every per-fold
-fit and out-of-fold prediction goes through ``fit_folds`` and
-``out_of_fold``.
+Every fold split in the package comes from ``make_plan``. Per-fold fits and
+out-of-fold predictions go through ``fit_folds`` and ``out_of_fold``, except
+``learners.GBStumpLearner.fit``, whose inner CV loop picks the boosting
+round count from every round's validation loss.
 """
 from __future__ import annotations
 

@@ -98,18 +98,21 @@ def _with_lead(block: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _shift_weight(g1, e1, q1, r1, z, a_prime: int, a_star: int) -> np.ndarray:
-    """h = [g(a')/g(a*)] [q(z|a')/r(z|a',m)] [e(a*|m)/e(a'|m)] at each row's
-    observed z, from P(A=1|W), P(A=1|M,W), P(Z=1|a',W) and P(Z=1|a',M,W)."""
-    q_obs = np.where(z == 1.0, q1, 1.0 - q1)
-    r_obs = np.where(z == 1.0, r1, 1.0 - r1)
-    return (_prob_of(g1, a_prime) / _prob_of(g1, a_star)) * (q_obs / r_obs) \
+def _a_prime_terms(b, q1, r1, z, a_prime: int):
+    """The terms every pair (a', .) shares: the ratio q(z|a')/r(z|a',m) at each
+    row's observed z, the outcome regression b(a', z) there, and the plug-in
+    sum_z b(a', z) q(z | a'), from P(Z=1|a',W) and P(Z=1|a',M,W)."""
+    q, r = q1[:, a_prime], r1[:, a_prime]
+    qr = np.where(z == 1.0, q, 1.0 - q) / np.where(z == 1.0, r, 1.0 - r)
+    b_obs = b[np.arange(len(z)), a_prime, z.astype(int)]
+    return qr, b_obs, b[:, a_prime, 1] * q + b[:, a_prime, 0] * (1.0 - q)
+
+
+def _shift_weight(g1, e1, qr, a_prime: int, a_star: int) -> np.ndarray:
+    """h = [g(a')/g(a*)] [q(z|a')/r(z|a',m)] [e(a*|m)/e(a'|m)] from P(A=1|W),
+    P(A=1|M,W) and the q/r ratio of ``_a_prime_terms``."""
+    return (_prob_of(g1, a_prime) / _prob_of(g1, a_star)) * qr \
         * (_prob_of(e1, a_star) / _prob_of(e1, a_prime))
-
-
-def _plugin(b: np.ndarray, q1: np.ndarray, a_prime: int) -> np.ndarray:
-    """sum_z b(a', z) q(z | a'): the outcome regression averaged over Z."""
-    return b[:, a_prime, 1] * q1[:, a_prime] + b[:, a_prime, 0] * (1.0 - q1[:, a_prime])
 
 
 def _roles(values: np.ndarray) -> dict[str, np.ndarray]:
@@ -123,6 +126,10 @@ def _roles(values: np.ndarray) -> dict[str, np.ndarray]:
 def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
                   config: NuisanceConfig | None = None) -> NuisanceFits:
     """Fit every nuisance with cross-fitting and evaluate it out of fold.
+
+    Each fold builds its designs from blocks gathered at its training rows,
+    and scores those rows only at the a' arms that its u/v targets read; the
+    out-of-fold evaluation covers every arm.
 
     Raises DegenerateFold when a training fold misses a treatment or
     post-treatment level, and warns when more than 5% of any probability
@@ -147,47 +154,48 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
             if len(np.unique(col[tr])) < 2:
                 raise DegenerateFold(j, name)
 
-    def evaluate(fm: FoldModels, rows) -> np.ndarray:
-        """Clipped probabilities and rescaled outcome regression at ``rows``,
-        in the column layout that ``_roles`` names."""
-        W, MW = Wb[rows], MWb[rows]
-        cols = [_clip_prob(fm.propensity.predict(W), eps),
-                _clip_prob(fm.propensity_given_m.predict(MW), eps)]
-        for model, X in ((fm.z_given_a, _with_lead(W, 1)), (fm.z_given_am, _with_lead(MW, 1))):
-            for arm in (0, 1):
-                X[:, 0] = arm
-                cols.append(_clip_prob(model.predict(X), eps))
-        X = _with_lead(MW, 2)
-        for arm, zz in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            X[:, :2] = arm, zz
-            pred = fm.outcome.predict(X)
-            cols.append(np.clip(pred * (hi - lo) + lo, lo, hi))
-        return np.column_stack(cols)
+    def evaluate(fm: FoldModels, W, MW, arms=(0, 1)) -> np.ndarray:
+        """Clipped probabilities and rescaled outcome regression at the rows of
+        blocks W and MW, laid out as ``_roles`` names; other arms hold NaN."""
+        out = np.full((len(W), 10), np.nan)
+        v = _roles(out)  # views that write into out
+        v["propensity"][:] = _clip_prob(fm.propensity.predict(W), eps)
+        v["propensity_given_m"][:] = _clip_prob(fm.propensity_given_m.predict(MW), eps)
+        aW, aMW, azMW = _with_lead(W, 1), _with_lead(MW, 1), _with_lead(MW, 2)
+        for arm in arms:
+            aW[:, 0] = aMW[:, 0] = arm
+            v["z_given_a"][:, arm] = _clip_prob(fm.z_given_a.predict(aW), eps)
+            v["z_given_am"][:, arm] = _clip_prob(fm.z_given_am.predict(aMW), eps)
+            for zz in (0, 1):
+                azMW[:, :2] = arm, zz
+                b = fm.outcome.predict(azMW)
+                v["outcome"][:, arm, zz] = np.clip(b * (hi - lo) + lo, lo, hi)
+        return out
 
     def fit_fold(j: int, tr: np.ndarray) -> FoldModels:
-        def fit(X, target, rows, role):
-            return fit_stack(config.stack, X[rows], target, w[rows],
+        def fit(X, target, weights, role):
+            return fit_stack(config.stack, X, target, weights,
                              seed=_seed(config.seed, j, role))
 
+        W, MW, a_tr, z_tr, w_tr = Wb[tr], MWb[tr], a[tr], z[tr], w[tr]
         fm = FoldModels(
-            propensity=fit(Wb, a[tr], tr, 0),
-            propensity_given_m=fit(MWb, a[tr], tr, 1),
-            z_given_a=fit(np.column_stack([a[:, None], Wb]), z[tr], tr, 2),
-            z_given_am=fit(np.column_stack([a[:, None], Mb, Wb]), z[tr], tr, 3),
-            outcome=fit(np.column_stack([a[:, None], z[:, None], Mb, Wb]), ys[tr], tr, 4),
+            propensity=fit(W, a_tr, w_tr, 0),
+            propensity_given_m=fit(MW, a_tr, w_tr, 1),
+            z_given_a=fit(np.column_stack([a_tr, W]), z_tr, w_tr, 2),
+            z_given_am=fit(np.column_stack([a_tr, MW]), z_tr, w_tr, 3),
+            outcome=fit(np.column_stack([a_tr, z_tr, MW]), ys[tr], w_tr, 4),
             projections={})
-        v = _roles(evaluate(fm, tr))
-        z_tr, a_tr = z[tr], a[tr]
-        b_obs = v["outcome"][np.arange(len(tr)), :, z_tr.astype(int)]
+        arms = sorted({ap for ap, _ in config.pairs})
+        v = _roles(evaluate(fm, W, MW, arms))
+        terms = {ap: _a_prime_terms(v["outcome"], v["z_given_a"], v["z_given_am"], z_tr, ap)
+                 for ap in arms}
+        zW = np.column_stack([z_tr, W])
         for k, (ap, st) in enumerate(config.pairs):
-            h_tr = _shift_weight(v["propensity"], v["propensity_given_m"],
-                                 v["z_given_a"][:, ap], v["z_given_am"][:, ap],
-                                 z_tr, ap, st)
-            u_target = (b_obs[:, ap] * h_tr)[a_tr == ap]
-            m_u = fit(np.column_stack([z[:, None], Wb]), u_target, tr[a_tr == ap],
-                      5 + 2 * k)
-            v_target = _plugin(v["outcome"], v["z_given_a"], ap)[a_tr == st]
-            m_v = fit(Wb, v_target, tr[a_tr == st], 6 + 2 * k)
+            qr, b_obs, plugin = terms[ap]
+            h_tr = _shift_weight(v["propensity"], v["propensity_given_m"], qr, ap, st)
+            on_ap, on_st = a_tr == ap, a_tr == st
+            m_u = fit(zW[on_ap], (b_obs * h_tr)[on_ap], w_tr[on_ap], 5 + 2 * k)
+            m_v = fit(W[on_st], plugin[on_st], w_tr[on_st], 6 + 2 * k)
             fm.projections[(ap, st)] = (m_u, m_v)
         return fm
 
@@ -204,7 +212,8 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
             cols.append(m_v.predict(W))
         return np.column_stack(cols)
 
-    values = _roles(out_of_fold(plan, fold_models, evaluate))
+    values = _roles(out_of_fold(plan, fold_models,
+                                lambda fm, va: evaluate(fm, Wb[va], MWb[va])))
     uv = out_of_fold(plan, fold_models, project)
     u_vals = {pair: uv[:, 3 * k:3 * k + 2] for k, pair in enumerate(config.pairs)}
     v_vals = {pair: uv[:, 3 * k + 2] for k, pair in enumerate(config.pairs)}
@@ -227,28 +236,22 @@ def fit_nuisances(dataset: Dataset, plan: CrossFitPlan,
                         clip_fractions=clip_fractions)
 
 
-def _pair_pseudo_outcome(fits: NuisanceFits, a, z, y, a_prime: int,
+def _pair_pseudo_outcome(fits: NuisanceFits, a, z, y, side, a_prime: int,
                          a_star: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row pseudo-outcome D^(a', a*) and the mediator-shift weight h it
-    uses, h from the literal three-ratio formula at each row's observed
-    (z, m, w); when a' = a* the propensity ratios cancel to exactly one and h
-    reduces to q/r."""
-    pair = (a_prime, a_star)
-    ind_ap = (a == a_prime).astype(float)
+    uses, from the a'-side terms ``side`` that every pair (a', .) shares; h is
+    the literal three-ratio formula at each row's observed (z, m, w), and when
+    a' = a* its propensity ratios cancel to exactly one and h reduces to q/r."""
+    ind_ap, g_ap, qr, b_obs, plugin = side
     ind_st = (a == a_star).astype(float)
-    g_ap = _prob_of(fits.propensity1, a_prime)
     g_st = _prob_of(fits.propensity1, a_star)
-    q1 = fits.z_given_a1[:, a_prime]
-    h = _shift_weight(fits.propensity1, fits.propensity_given_m1, q1,
-                      fits.z_given_am1[:, a_prime], z, a_prime, a_star)
-    b_obs = fits.outcome_az[np.arange(len(z)), a_prime, z.astype(int)]
-    u = fits.u_vals[pair]
-    v = fits.v_vals[pair]
+    h = _shift_weight(fits.propensity1, fits.propensity_given_m1, qr, a_prime, a_star)
+    u = fits.u_vals[a_prime, a_star]
+    v = fits.v_vals[a_prime, a_star]
     terms = {
         "outcome_residual": ind_ap / g_ap * h * (y - b_obs),
-        "z_residual": ind_ap / g_ap * (u[:, 1] - u[:, 0]) * (z - q1),
-        "plugin_centered": ind_st / g_st * (_plugin(fits.outcome_az, fits.z_given_a1,
-                                                    a_prime) - v),
+        "z_residual": ind_ap / g_ap * (u[:, 1] - u[:, 0]) * (z - fits.z_given_a1[:, a_prime]),
+        "plugin_centered": ind_st / g_st * (plugin - v),
         "projection": v,
     }
     total = np.zeros(len(z))
@@ -295,18 +298,21 @@ class PseudoOutcomes:
 
 
 def pseudo_contrast(dataset: Dataset, fits: NuisanceFits) -> PseudoOutcomes:
-    """Every fitted pair's pseudo-outcome and shift weight, each built once
-    from (dataset, fits), and D = D^(1,1) - D^(1,0): the unbiased transform
-    whose conditional mean given V is the blip."""
+    """Every fitted pair's pseudo-outcome and shift weight, each built once (its
+    a'-side terms once per a'), and D = D^(1,1) - D^(1,0): the unbiased
+    transform whose conditional mean given V is the blip."""
     if dataset.n != fits.plan.n:
         raise SchemaMismatch("nuisance fits belong to a different dataset")
     schema = dataset.schema
     a = dataset.column(schema.treatment).astype(float)
     z = dataset.column(schema.post_treatment).astype(float)
     y = dataset.column(schema.outcome).astype(float)
+    sides = {ap: ((a == ap).astype(float), _prob_of(fits.propensity1, ap),
+                  *_a_prime_terms(fits.outcome_az, fits.z_given_a1, fits.z_given_am1, z, ap))
+             for ap in {ap for ap, _ in fits.pairs}}
     d, h = {}, {}
     for pair in fits.pairs:
-        d[pair], h[pair] = _pair_pseudo_outcome(fits, a, z, y, *pair)
+        d[pair], h[pair] = _pair_pseudo_outcome(fits, a, z, y, sides[pair[0]], *pair)
     values = d[1, 1] - d[1, 0] if (1, 1) in d and (1, 0) in d else None
     return PseudoOutcomes(d=d, h=h, values=values, fold=fits.plan.assignment.copy(),
                           epsilon=fits.config.epsilon, folds=fits.plan.folds)

@@ -162,9 +162,10 @@ class FittedGLM(_Bounded):
 @dataclass
 class FittedCellMeans(_Bounded):
     """Saturated fit over all-binary features: one weighted mean per cell. Up to
-    ``SATURATED_MAX_FEATURES`` features, predict indexes ``table`` by cell code;
-    above it, it searches ``keys``. Unseen cells and off-grid rows get ``fallback``."""
-    keys: np.ndarray            # sorted unique cell codes
+    ``SATURATED_MAX_FEATURES`` features, the fit bincounts cell codes straight
+    into ``table``, which predict indexes; above it, predict searches ``keys``.
+    Unseen cells, zero-weight cells and off-grid rows get ``fallback``."""
+    keys: np.ndarray            # sorted codes of the cells holding any training row
     means: np.ndarray
     fallback: float
     n_features: int
@@ -223,17 +224,17 @@ class GLMLearner:
     def _fit_cells(self, X, y, w, lo, hi) -> FittedCellMeans:
         p = X.shape[1]
         code = _cell_codes(X, p)
-        keys, inverse = np.unique(code, return_inverse=True)
-        wsums = np.bincount(inverse, weights=w, minlength=len(keys))
-        ysums = np.bincount(inverse, weights=w * y, minlength=len(keys))
+        dense = p <= SATURATED_MAX_FEATURES  # bins: the codes, one more for off-grid rows
+        keys, bins = ((np.flatnonzero(np.bincount(code, minlength=2 ** p)), code) if dense
+                      else np.unique(code, return_inverse=True))
+        size = 2 ** p + 1 if dense else len(keys)
+        wsums = np.bincount(bins, weights=w, minlength=size)
+        ysums = np.bincount(bins, weights=w * y, minlength=size)
         fallback = _wmean(y, w)
         means = np.where(wsums > 0, ysums / np.where(wsums > 0, wsums, 1.0), fallback)
-        table = None
-        if p <= SATURATED_MAX_FEATURES:
-            table = np.full(2 ** p + 1, fallback)
-            table[keys] = means
-        return FittedCellMeans(keys=keys, means=means, fallback=fallback,
-                               n_features=p, lo=lo, hi=hi, table=table)
+        return FittedCellMeans(keys=keys, means=means[keys] if dense else means,
+                               fallback=fallback, n_features=p, lo=lo, hi=hi,
+                               table=means if dense else None)
 
     def _irls(self, X1, y, w) -> tuple[np.ndarray, bool]:
         """Logistic IRLS from beta = 0.
@@ -628,6 +629,8 @@ def _simplex_lsq(P: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StackedEnsemble(_Bounded):
+    """The stack's ``predict`` checks X once; each member's ``_raw`` on it is
+    clipped to that member's own bounds, as the member's ``predict`` would."""
     member_names: list[str]
     models: list
     weights: np.ndarray
@@ -640,7 +643,7 @@ class StackedEnsemble(_Bounded):
         out = np.zeros(X.shape[0])
         for alpha, model in zip(self.weights, self.models):
             if alpha != 0.0:
-                out += alpha * model.predict(X)
+                out += alpha * np.clip(model._raw(X), model.lo, model.hi)
         return out
 
 

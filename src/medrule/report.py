@@ -95,6 +95,10 @@ def load_config(path) -> RunConfig:
         unknown += [f"roles.{k}" for k in roles if k not in ROLE_KEYS]
         if unknown:
             raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
+        for key in ("treatment", "post_treatment", "outcome", "weight"):
+            value = roles.get(key, "")  # a missing key fails below
+            if not (isinstance(value, str) or (key == "weight" and value is None)):
+                raise ConfigError(f"roles.{key} must be a column name string, got {value!r}")
         schema = ColumnSchema(
             baseline=_list("roles.baseline", roles["baseline"]),
             rule_covariates=_list("roles.rule_covariates", roles["rule_covariates"]),

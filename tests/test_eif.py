@@ -81,6 +81,23 @@ def test_out_of_fold_values_match_column_stacked_designs(crossover):
                 assert np.array_equal(fits.u_vals[pair][va, z], u)
 
 
+def test_fewer_pairs_change_no_nuisance_value(crossover):
+    # with only a' = 1 the training rows are scored at arm 1 alone; no
+    # u/v target and no out-of-fold value may move
+    ds = simulate(crossover, 1500, seed=29)
+    plan = make_plan(ds.n, 3, seed=5)
+    cfg = NuisanceConfig(stack=("mean", "glm", "glm_sat"), seed=6)
+    every = fit_nuisances(ds, plan, cfg)
+    some = fit_nuisances(ds, plan, NuisanceConfig(stack=cfg.stack, seed=cfg.seed,
+                                                  pairs=((1, 1), (1, 0))))
+    for pair in ((1, 1), (1, 0)):
+        assert np.array_equal(some.u_vals[pair], every.u_vals[pair])
+        assert np.array_equal(some.v_vals[pair], every.v_vals[pair])
+    for name in ("propensity1", "propensity_given_m1", "z_given_a1", "z_given_am1",
+                 "outcome_az"):
+        assert np.array_equal(getattr(some, name), getattr(every, name)), name
+
+
 def test_saturated_fits_converge_to_oracle_tables(crossover):
     ds = simulate(crossover, 20000, seed=23)
     plan = make_plan(ds.n, 5, seed=3)
@@ -235,10 +252,10 @@ def test_run_pipeline_builds_each_pair_shift_weight_once(crossover, tmp_path,
     calls = {}
     inner = eif._shift_weight
 
-    def counted(g1, e1, q1, r1, z, a_prime, a_star):
-        if len(z) == n:
+    def counted(g1, e1, qr, a_prime, a_star):
+        if len(qr) == n:
             calls[a_prime, a_star] = calls.get((a_prime, a_star), 0) + 1
-        return inner(g1, e1, q1, r1, z, a_prime, a_star)
+        return inner(g1, e1, qr, a_prime, a_star)
 
     monkeypatch.setattr(eif, "_shift_weight", counted)
     report = run_pipeline(config, write=False)

@@ -67,6 +67,10 @@ CONTRACT_FITS = [
     *(pytest.param(lambda X, y, w, name=name: make_learner(name).fit(X, y, w), id=name)
       for name in ("mean", "glm", "glm_sat", "lasso", "ridge", "gbstump")),
     pytest.param(lambda X, y, w: fit_stack(["mean", "glm"], X, y, w), id="stack"),
+    # stack members skip their own feature check; the stack's guards them
+    *(pytest.param(lambda X, y, w, m=members: fit_stack(m, X, y, w),
+                   id="stack-" + "-".join(members))
+      for members in (["glm_sat"], ["mean", "glm_sat"])),
     pytest.param(fit_adaptive_lasso, id="adaptive-lasso"),
 ]
 
@@ -89,6 +93,9 @@ def test_fitted_model_contract(fit):
     pred = model.predict(np.array([[1e3, -1e3], [-1e3, 1e3], [50.0, 50.0]]))
     assert np.all((model.lo <= pred) & (pred <= model.hi))
     assert model.lo < y.min() and y.max() < model.hi
+    if getattr(model, "member_names", None) == ["glm_sat"]:
+        with pytest.raises(ValueError):
+            model.predict(X[:, :1])
 
 
 def test_lasso_full_shrinkage_at_huge_penalty(monkeypatch):
@@ -305,6 +312,23 @@ def test_saturated_glm_cells_match_direct_group_means():
         assert np.allclose(model.predict(Q), expected, rtol=0.0, atol=1e-12)
         with pytest.raises(ValueError):
             model.predict(X[:, :-1])
+        # a cell seen in training only on zero-weight rows is a key and
+        # predicts the fallback, as the weighted mean of no weight
+        w0 = w.copy()
+        zero = X[:, 0] == 1.0
+        w0[zero & np.all(X[:, 1:] == X[zero][0, 1:], axis=1)] = 0.0
+        model = fit_learner("glm_sat", X, y, w=w0)
+        cell = int(X[zero][0] @ 2 ** np.arange(p))
+        assert cell in model.keys
+        fallback = np.sum(w0 * y) / np.sum(w0)
+        assert model.predict(X[zero][:1])[0] == pytest.approx(fallback, abs=1e-12)
+        if model.table is not None:
+            codes = X @ 2 ** np.arange(p)
+            for c in model.keys:
+                sel = codes == c
+                want = (np.sum(w0[sel] * y[sel]) / np.sum(w0[sel])
+                        if np.sum(w0[sel]) > 0 else fallback)
+                assert model.table[int(c)] == pytest.approx(want, abs=1e-12)
 
 
 def test_saturated_glm_product_basis_on_continuous():

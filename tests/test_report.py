@@ -286,6 +286,10 @@ def test_misspelt_config_key_rejected(tmp_path, top, roles, key):
     ({"seed": 1.9}, {}, "seed"),
     ({"seed": "2"}, {}, "seed"),
     ({"seed": True}, {}, "seed"),
+    ({}, {"treatment": ["A"]}, "roles.treatment"),
+    ({}, {"post_treatment": ["Z"]}, "roles.post_treatment"),
+    ({}, {"outcome": ["Y"]}, "roles.outcome"),
+    ({}, {"weight": ["w"]}, "roles.weight"),
 ])
 def test_wrong_shape_config_value_rejected(tmp_path, top, roles, key):
     doc = json.loads(write_run_inputs(tmp_path, n=50).read_text())
@@ -294,6 +298,17 @@ def test_wrong_shape_config_value_rejected(tmp_path, top, roles, key):
     (tmp_path / "config.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=f"{key} must be"):
         load_config(tmp_path / "config.json")
+
+
+def test_cli_rejects_list_valued_column_role(tmp_path, capsys):
+    config_path = write_run_inputs(tmp_path, n=50)
+    doc = json.loads(config_path.read_text())
+    doc["roles"]["treatment"] = ["A"]
+    config_path.write_text(json.dumps(doc))
+    assert main(["run", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]") and "roles.treatment must be" in err
+    assert "Traceback" not in err
 
 
 def test_whole_float_folds_and_seed_accepted(tmp_path):
