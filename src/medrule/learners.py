@@ -1,9 +1,10 @@
 """Weighted regression learners, the stacking ensemble, and the adaptive lasso.
 
-Every learner exposes ``fit(X, y, w, seed) -> model`` with ``model.predict(X)``
-and is deterministic given (data, weights, seed). Every fit starts from
-``_prepare`` and every model is a ``_Bounded``, whose ``predict`` checks the
-features and clips the model's raw prediction to its bounds: [0, 1] for binary
+Every learner is a ``_Learner``, deterministic given (data, weights, seed): its
+one public ``fit(X, y, w, seed)`` hands ``_prepare``'s checked arrays to its own
+``_fit``. ``fit_stack`` runs ``_prepare`` once and fits its members (registry
+names or ``_Learner`` instances) by ``_fit``. Every model is a ``_Bounded``, whose
+``predict`` checks the features and clips its raw prediction to [0, 1] for binary
 {0,1} targets, fit as probabilities, and the observed training range expanded
 by 10% for continuous ones. Stack weights are the exact simplex-constrained
 least-squares solution; ties go to the fewest members, then the earliest in
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossfit import crossfit_predict, make_plan
+from .crossfit import fit_folds, make_plan, out_of_fold
 from .errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
                      SeparationWarning, SingularDesignWarning)
 
@@ -85,6 +86,13 @@ class _Bounded:
         return np.clip(self._raw(_check_features(X)), self.lo, self.hi)
 
 
+class _Learner:
+    """A learner: ``fit`` is ``_fit(X, y, w, binary, bounds, seed)`` on ``_prepare``'s output."""
+
+    def fit(self, X, y, w=None, seed: int = 0):
+        return self._fit(*_prepare(X, y, w), seed)
+
+
 def _wmean(y, w) -> float:
     return float(np.sum(w * y) / np.sum(w))
 
@@ -104,12 +112,11 @@ class FittedMean(_Bounded):
         return np.full(X.shape[0], self.value)
 
 
-class MeanLearner:
+class MeanLearner(_Learner):
     name = "mean"
 
-    def fit(self, X, y, w=None, seed: int = 0) -> FittedMean:
-        X, y, w, _, (lo, hi) = _prepare(X, y, w)
-        return FittedMean(value=_wmean(y, w), lo=lo, hi=hi)
+    def _fit(self, X, y, w, binary, bounds, seed) -> FittedMean:
+        return FittedMean(value=_wmean(y, w), lo=bounds[0], hi=bounds[1])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +198,7 @@ def _cell_codes(X: np.ndarray, p: int) -> np.ndarray:
     return (X.astype(weights.dtype, copy=False) @ weights).astype(np.int64, copy=False)
 
 
-class GLMLearner:
+class GLMLearner(_Learner):
     """Main-terms GLM: weighted least squares for continuous targets, weighted
     logistic regression by IRLS for binary ones. ``saturated=True`` fits the
     full interaction basis instead; over all-binary features that solution is
@@ -201,14 +208,13 @@ class GLMLearner:
         self.saturated = saturated
         self.name = "glm_sat" if saturated else "glm"
 
-    def fit(self, X, y, w=None, seed: int = 0):
-        X, y, w, binary, (lo, hi) = _prepare(X, y, w)
+    def _fit(self, X, y, w, binary, bounds, seed):
         if np.all(y == y[0]):
             # degenerate target: the exact fit is the constant itself
-            return FittedMean(value=float(y[0]), lo=lo, hi=hi)
+            return FittedMean(value=float(y[0]), lo=bounds[0], hi=bounds[1])
         if self.saturated:
             if X.shape[1] <= CELL_CODE_MAX_FEATURES and np.all((X == 0.0) | (X == 1.0)):
-                return self._fit_cells(X, y, w, lo, hi)
+                return self._fit_cells(X, y, w, *bounds)
             X = _product_basis(X)
         X1 = np.column_stack([np.ones(X.shape[0]), X])
         if binary:
@@ -218,7 +224,7 @@ class GLMLearner:
             if singular:
                 warnings.warn("collinear design; refit with ridge 1e-6",
                               SingularDesignWarning, stacklevel=2)
-        return FittedGLM(beta=beta, binary=binary, lo=lo, hi=hi,
+        return FittedGLM(beta=beta, binary=binary, lo=bounds[0], hi=bounds[1],
                          singular_fallback=singular, saturated=self.saturated)
 
     def _fit_cells(self, X, y, w, lo, hi) -> FittedCellMeans:
@@ -251,7 +257,7 @@ class GLMLearner:
         singular = False
         for _ in range(IRLS_MAX_ITER):
             clipped = np.clip(eta, -ETA_CLIP, ETA_CLIP)
-            p = _expit(clipped)
+            p = 1.0 / (1.0 + np.exp(-clipped))
             s = np.maximum(p * (1.0 - p), 1e-10)
             z_work = clipped + (y - p) / s
             new, sing = _solve_wls(X1, z_work, w * s, force_ridge=singular)
@@ -362,7 +368,7 @@ def _lasso_path(G, c, lams) -> np.ndarray:
     return out
 
 
-class PenalizedLearner:
+class PenalizedLearner(_Learner):
     """Ridge (``l1_ratio=0``) or lasso (``l1_ratio=1``) on weighted-standardized
     features with an unpenalized intercept, solved exactly (no cap, tolerance
     or warning) from each training set's weighted sums: ridge in closed form
@@ -384,8 +390,7 @@ class PenalizedLearner:
         self.cv_rule = cv_rule
         self.name = "lasso" if self.l1_ratio == 1.0 else "ridge"
 
-    def fit(self, X, y, w=None, seed: int = 0) -> FittedPenalized:
-        X, y, w, binary, (lo, hi) = _prepare(X, y, w)
+    def _fit(self, X, y, w, binary, bounds, seed) -> FittedPenalized:
         n, p = X.shape
         pw = (np.ones(p) if self.penalty_weights is None
               else np.asarray(self.penalty_weights, dtype=float))
@@ -402,7 +407,7 @@ class PenalizedLearner:
         intercept = shift[-1] + mean[-1] - (shift[:-1] + mean[:-1]) @ coef
         return FittedPenalized(coef=coef, intercept=float(intercept),
                                coef_std=coef * sd, lam=float(lam),
-                               binary=binary, lo=lo, hi=hi)
+                               binary=binary, lo=bounds[0], hi=bounds[1])
 
     def _lambda_grid(self, c) -> np.ndarray:
         anchor = float(np.max(np.abs(c), initial=0.0))
@@ -507,7 +512,7 @@ class FittedBoost(_Bounded):
         return _expit(F) if self.binary else F
 
 
-class GBStumpLearner:
+class GBStumpLearner(_Learner):
     """Depth-one gradient boosting: squared-error loss on continuous targets,
     logistic loss on binary ones, learning rate ``GB_RATE``, up to
     ``GB_ROUNDS`` rounds with the round count picked by internal
@@ -515,10 +520,9 @@ class GBStumpLearner:
 
     name = "gbstump"
 
-    def fit(self, X, y, w=None, seed: int = 0):
-        X, y, w, binary, (lo, hi) = _prepare(X, y, w)
+    def _fit(self, X, y, w, binary, bounds, seed):
         if np.all(y == y[0]):
-            return FittedMean(value=float(y[0]), lo=lo, hi=hi)
+            return FittedMean(value=float(y[0]), lo=bounds[0], hi=bounds[1])
         n = len(y)
         rounds = GB_ROUNDS
         if n >= 2 * CV_FOLDS:
@@ -540,7 +544,7 @@ class GBStumpLearner:
                            thresholds=np.array([s[1] for s in stumps]),
                            left=np.array([s[2] for s in stumps]),
                            right=np.array([s[3] for s in stumps]),
-                           binary=binary, lo=lo, hi=hi)
+                           binary=binary, lo=bounds[0], hi=bounds[1])
 
     def _boost(self, X, y, w, binary, Xv=None, yv=None, wv=None, rounds=None):
         rounds = GB_ROUNDS if rounds is None else rounds
@@ -619,11 +623,12 @@ def _simplex_lsq(P: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
             a = np.linalg.solve(kkt, np.append(c[S], 1.0))[:-1]
         except np.linalg.LinAlgError:
             continue
-        alpha = np.zeros(k)
-        alpha[S] = a
-        risk = float(np.sum(wn * (y - P @ alpha) ** 2))
-        if np.all(a > 0.0) and risk < best_risk * (1.0 - 1e-12):
-            best, best_risk = alpha, risk
+        if np.all(a > 0.0):
+            alpha = np.zeros(k)
+            alpha[S] = a
+            risk = float(np.sum(wn * (y - P @ alpha) ** 2))
+            if risk < best_risk * (1.0 - 1e-12):
+                best, best_risk = alpha, risk
     return best
 
 
@@ -652,49 +657,65 @@ def fit_stack(members, X, y, w=None, seed: int = 0) -> StackedEnsemble:
     least-squares fit to ``CV_FOLDS``-fold member predictions. Tie-break: a face of
     the simplex (tried by size, then in stack order) replaces the incumbent only
     if its CV risk is lower by more than a relative 1e-12, so tied optima go to
-    the fewest members, then the earliest in stack order. A member that fails to
-    fit is dropped with a warning. A single member short-circuits to weight one."""
+    the fewest members, then the earliest in stack order. Members are registry names
+    or ``_Learner`` instances (else ``TypeError``); all fit by ``_fit`` on one gather
+    per inner fold. One that fails to fit is skipped in later folds and dropped
+    with a warning. A single member short-circuits to weight one."""
     if not members:
         raise ValueError("the stack needs at least one member")
     members = [make_learner(m) if isinstance(m, str) else m for m in members]
+    if not all(isinstance(m, _Learner) for m in members):
+        raise TypeError(f"stack members must be registry names or learners, got {members!r}")
     X, y, w, binary, (lo, hi) = _prepare(X, y, w)
-    n = len(y)
 
     if len(members) == 1:
-        model = members[0].fit(X, y, w, seed=seed * 1_000_003 + 97)
+        model = members[0]._fit(X, y, w, binary, (lo, hi), seed * 1_000_003 + 97)
         return StackedEnsemble(member_names=[members[0].name], models=[model],
                                weights=np.array([1.0]), cv_risks=None,
                                stack_cv_risk=None, binary=binary, lo=lo, hi=hi)
 
-    plan = make_plan(n, min(CV_FOLDS, n), seed)
-    preds = np.empty((n, len(members)))
-    kept, dropped = [], []
-    for mi, member in enumerate(members):
-        try:
-            preds[:, mi] = crossfit_predict(
-                plan,
-                lambda j, tr: member.fit(X[tr], y[tr], w[tr],
-                                         seed=seed * 1_000_003 + mi * 101 + j),
-                lambda model, va: model.predict(X[va]))
-            kept.append(mi)
-        except Exception as exc:  # noqa: BLE001 - any member failure drops it
-            dropped.append(member.name)
-            warnings.warn(f"stack member {member.name!r} dropped: {exc}",
-                          DroppedMemberWarning, stacklevel=2)
+    plan = make_plan(len(y), min(CV_FOLDS, len(y)), seed)
+    failed = {}  # member index -> "fold j: message" of its first failure
+
+    def fit_fold(j, tr):
+        Xt, yt, wt = X[tr], y[tr], w[tr]
+        bt = _is_binary(yt)
+        bounds = _pred_bounds(yt, bt)
+        models = {}
+        for mi, member in enumerate(members):
+            if mi not in failed:
+                try:
+                    models[mi] = member._fit(Xt, yt, wt, bt, bounds,
+                                             seed * 1_000_003 + mi * 101 + j)
+                except Exception as exc:  # noqa: BLE001 - any member failure drops it
+                    failed[mi] = f"fold {j}: {exc}"
+        return models
+
+    fold_models = fit_folds(plan, fit_fold)
+    kept = [mi for mi in range(len(members)) if mi not in failed]
+    for mi in sorted(failed):
+        warnings.warn(f"stack member {members[mi].name!r} dropped: {failed[mi]}",
+                      DroppedMemberWarning, stacklevel=2)
     if not kept:
         raise ValueError("every stack member failed to fit")
 
-    P = preds[:, kept]
+    def predict_fold(models, va):
+        Xv = X[va]
+        return np.column_stack([np.clip(models[mi]._raw(Xv), models[mi].lo, models[mi].hi)
+                                for mi in kept])
+
+    # column-major, as BLAS rounds P'WP in _simplex_lsq differently per layout
+    P = np.asfortranarray(out_of_fold(plan, fold_models, predict_fold))
     alpha = _simplex_lsq(P, y, w)
     cv_risks = np.array([_wmean((y - P[:, k]) ** 2, w) for k in range(P.shape[1])])
     stack_cv_risk = _wmean((y - P @ alpha) ** 2, w)
 
-    models = [members[mi].fit(X, y, w, seed=seed * 1_000_003 + mi * 101 + 97)
+    models = [members[mi]._fit(X, y, w, binary, (lo, hi), seed * 1_000_003 + mi * 101 + 97)
               for mi in kept]
     return StackedEnsemble(member_names=[members[mi].name for mi in kept],
                            models=models, weights=alpha, cv_risks=cv_risks,
                            stack_cv_risk=float(stack_cv_risk), binary=binary,
-                           lo=lo, hi=hi, dropped=dropped)
+                           lo=lo, hi=hi, dropped=[members[mi].name for mi in sorted(failed)])
 
 
 # ---------------------------------------------------------------------------

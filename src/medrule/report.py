@@ -90,6 +90,10 @@ def load_config(path) -> RunConfig:
     with open(path) as fh:
         doc = json.load(fh)
     try:
+        for key, kind, what in (("roles", dict, "object"), ("data", str, "string"),
+                                ("output_dir", str, "string")):
+            if key in doc and not isinstance(doc[key], kind):
+                raise ConfigError(f"{key} must be a JSON {what}, got {doc[key]!r}")
         roles = doc["roles"]
         unknown = [k for k in doc if k not in CONFIG_KEYS]
         unknown += [f"roles.{k}" for k in roles if k not in ROLE_KEYS]

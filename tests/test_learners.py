@@ -5,6 +5,7 @@ import pytest
 
 from medrule import fit_adaptive_lasso, fit_learner, fit_stack, make_learner
 from medrule import learners
+from medrule.crossfit import crossfit_predict, make_plan
 from medrule.errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
                             SeparationWarning, SingularDesignWarning)
 from medrule.learners import GLMLearner, PenalizedLearner, _simplex_lsq
@@ -387,10 +388,10 @@ def test_stack_dominates_best_member_on_cv_risk():
     assert stack.stack_cv_risk <= stack.cv_risks.min() + 1e-8
 
 
-class _Exploder:
+class _Exploder(learners._Learner):
     name = "exploder"
 
-    def fit(self, X, y, w=None, seed=0):
+    def _fit(self, X, y, w, binary, bounds, seed):
         raise RuntimeError("boom")
 
 
@@ -398,11 +399,114 @@ def test_failing_member_dropped_with_warning():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(100, 1))
     y = X[:, 0]
-    with pytest.warns(DroppedMemberWarning):
+    with pytest.warns(DroppedMemberWarning, match="fold 0: boom"):
         stack = fit_stack([_Exploder(), make_learner("mean")], X, y, seed=6)
     assert stack.member_names == ["mean"]
     assert stack.dropped == ["exploder"]
     assert stack.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class _Spy(learners._Learner):
+    name = "spy"
+
+    def __init__(self, fail_fold=None):
+        self.fail_fold = fail_fold
+        self.folds = []
+
+    def _fit(self, X, y, w, binary, bounds, seed):
+        fold = seed % 101  # fit_stack at seed 0 fits fold j with seed mi * 101 + j
+        self.folds.append(fold)
+        if fold == self.fail_fold:
+            raise RuntimeError("fails in this fold")
+        return learners.MeanLearner()._fit(X, y, w, binary, bounds, seed)
+
+
+class _Foreign:
+    name = "foreign"
+
+    def fit(self, X, y, w=None, seed=0):
+        return learners.MeanLearner().fit(X, y, w, seed)
+
+
+def test_foreign_stack_member_rejected_before_any_fit():
+    spy = _Spy()
+    with pytest.raises(TypeError, match="registry names or learners"):
+        fit_stack([spy, _Foreign()], np.zeros((20, 1)), np.arange(20.0))
+    assert spy.folds == []
+
+
+def test_member_failing_in_later_fold_is_dropped():
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(200, 2))
+    y = X[:, 0] + 0.5 * rng.normal(size=200)
+    spy = _Spy(fail_fold=2)
+    with pytest.warns(DroppedMemberWarning,
+                      match="^stack member 'spy' dropped: fold 2: fails in this fold$"):
+        stack = fit_stack(["mean", "lasso", spy], X, y)
+    assert spy.folds == [0, 1, 2]
+    assert stack.dropped == ["spy"] and stack.member_names == ["mean", "lasso"]
+    without = fit_stack(["mean", "lasso"], X, y)
+    assert np.array_equal(stack.weights, without.weights)
+    assert np.array_equal(stack.cv_risks, without.cv_risks)
+
+
+@pytest.mark.parametrize("members", [["mean", "glm", "glm_sat"], ["glm_sat"]])
+def test_stack_runs_one_fit_preamble(monkeypatch, members):
+    calls = []
+    prepare = learners._prepare
+    monkeypatch.setattr(learners, "_prepare", lambda *a: calls.append(1) or prepare(*a))
+    rng = np.random.default_rng(42)
+    X = (rng.random((120, 2)) < 0.5).astype(float)
+    fit_stack(members, X, X[:, 0] + rng.normal(size=120))
+    assert len(calls) == 1
+
+
+def _member_major_stack(names, X, y, w, seed):
+    """The stack fitted member by member through the public ``fit`` and
+    ``predict``: each member's cross-fitted predictions, the simplex weights,
+    the CV risks and the full-data refits."""
+    members = [make_learner(name) for name in names]
+    plan = make_plan(len(y), learners.CV_FOLDS, seed)
+    preds = np.empty((len(y), len(names)))
+    for mi, m in enumerate(members):
+        preds[:, mi] = crossfit_predict(
+            plan,
+            lambda j, tr: m.fit(X[tr], y[tr], w[tr], seed=seed * 1_000_003 + mi * 101 + j),
+            lambda model, va: model.predict(X[va]))
+    P = preds[:, list(range(len(names)))]  # the kept columns
+    alpha = _simplex_lsq(P, y, w)
+    cv_risks = np.array([np.sum(w * (y - P[:, k]) ** 2) / np.sum(w)
+                         for k in range(len(names))])
+    stack_cv_risk = float(np.sum(w * (y - P @ alpha) ** 2) / np.sum(w))
+    models = [m.fit(X, y, w, seed=seed * 1_000_003 + mi * 101 + 97)
+              for mi, m in enumerate(members)]
+    return alpha, cv_risks, stack_cv_risk, models
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["continuous", "binary"])
+@pytest.mark.parametrize("names", [["mean", "glm", "glm_sat"], ["mean", "glm", "lasso"],
+                                   ["mean", "gbstump", "ridge"]], ids="-".join)
+def test_fold_major_stack_matches_member_major_reference(monkeypatch, names, binary):
+    monkeypatch.setattr(learners, "GB_ROUNDS", 20)  # keeps the boosting case fast
+    n = 400
+    rng = np.random.default_rng(43)
+    X = np.column_stack([rng.random((n, 2)) < 0.5, rng.normal(size=n)]).astype(float)
+    eta = X[:, 0] - X[:, 1] + 0.5 * X[:, 2]
+    y = ((rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float) if binary
+         else eta + rng.normal(size=n))
+    w = rng.uniform(0.5, 2.0, size=n)
+    stack = fit_stack(names, X, y, w, seed=3)
+    alpha, cv_risks, stack_cv_risk, models = _member_major_stack(names, X, y, w, seed=3)
+    assert stack.member_names == names
+    assert np.array_equal(stack.weights, alpha)
+    assert np.array_equal(stack.cv_risks, cv_risks)
+    assert stack.stack_cv_risk == stack_cv_risk
+    X_new = np.column_stack([rng.random((50, 2)) < 0.5, 2.0 * rng.normal(size=50)]).astype(float)
+    expected = np.zeros(50)
+    for a, model in zip(alpha, models):
+        if a != 0.0:
+            expected += a * model.predict(X_new)
+    assert np.array_equal(stack.predict(X_new), np.clip(expected, stack.lo, stack.hi))
 
 
 def test_simplex_solver_on_correlated_members():

@@ -290,11 +290,14 @@ def test_misspelt_config_key_rejected(tmp_path, top, roles, key):
     ({}, {"post_treatment": ["Z"]}, "roles.post_treatment"),
     ({}, {"outcome": ["Y"]}, "roles.outcome"),
     ({}, {"weight": ["w"]}, "roles.weight"),
+    ({"roles": []}, {}, "roles"),
+    ({"data": 7}, {}, "data"),
+    ({"output_dir": 5}, {}, "output_dir"),
 ])
 def test_wrong_shape_config_value_rejected(tmp_path, top, roles, key):
     doc = json.loads(write_run_inputs(tmp_path, n=50).read_text())
-    doc.update(top)
     doc["roles"].update(roles)
+    doc.update(top)
     (tmp_path / "config.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=f"{key} must be"):
         load_config(tmp_path / "config.json")
@@ -308,6 +311,16 @@ def test_cli_rejects_list_valued_column_role(tmp_path, capsys):
     assert main(["run", str(config_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error [config]") and "roles.treatment must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("roles", []), ("data", 7), ("data", 0),
+                                        ("output_dir", 5)])
+def test_cli_rejects_wrong_type_config_value(tmp_path, capsys, key, value):
+    config_path = write_run_inputs(tmp_path, n=50, **{key: value})
+    assert main(["run", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]") and f"{key} must be" in err
     assert "Traceback" not in err
 
 
