@@ -17,7 +17,7 @@ from .data import (  # noqa: F401
     read_csv,
     validate_dataset,
 )
-from .crossfit import CrossFitPlan, crossfit_predict, make_plan  # noqa: F401
+from .crossfit import CrossFitPlan, make_plan  # noqa: F401
 from .oracle import (  # noqa: F401
     DiscreteDGP,
     PopulationEffects,
@@ -36,7 +36,6 @@ from .learners import (  # noqa: F401
     AdaptiveLassoModel,
     StackedEnsemble,
     fit_adaptive_lasso,
-    fit_learner,
     fit_stack,
     make_learner,
 )

@@ -81,13 +81,3 @@ def out_of_fold(plan: CrossFitPlan, models, predict_fn) -> np.ndarray:
             out = np.empty((plan.n,) + values.shape[1:])
         out[va] = values
     return out
-
-
-def crossfit_predict(plan: CrossFitPlan, fit_fn, predict_fn) -> np.ndarray:
-    """Out-of-fold predictions: row i is predicted by the model trained on
-    T_{j(i)}, so no prediction depends on the row's own target.
-
-    ``fit_fn(j, train_idx) -> model``; ``predict_fn(model, val_idx) ->
-    values``. Learner errors propagate tagged with the fold index.
-    """
-    return out_of_fold(plan, fit_folds(plan, fit_fn), predict_fn)

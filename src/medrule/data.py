@@ -32,8 +32,8 @@ class ColumnSchema:
     ``rule_covariates`` must be a subset of ``baseline``; treatment and
     post-treatment columns are binary; the outcome lives in a declared
     closed interval. Columns listed in ``categorical_levels`` are treated
-    as categoricals with exactly that level set; only baseline and mediator
-    columns can be categorical.
+    as categoricals with exactly that set of distinct levels; only baseline
+    and mediator columns can be categorical.
     """
 
     baseline: tuple[str, ...]
@@ -55,6 +55,10 @@ class ColumnSchema:
             self, "categorical_levels",
             {k: tuple(v) for k, v in dict(self.categorical_levels).items()},
         )
+        for name, levels in self.categorical_levels.items():
+            if len(set(levels)) < len(levels):
+                raise ValueError(f"categorical_levels.{name} must be distinct levels, "
+                                 f"got {list(levels)}")
         not_features = set(self.categorical_levels) - {*self.baseline, *self.mediators}
         if not_features:
             raise ValueError(f"categorical_levels names {sorted(not_features)}, but only "

@@ -1,15 +1,15 @@
 """One-step estimation of population interventional effects under a rule.
 
-Each contrast is a weighted mean of per-row pseudo-outcome differences, with
-the pseudo-outcome instantiated at the row's own rule value; the standard
-error is the weighted standard deviation of the same per-row contrast over
-sqrt(n). Rows the rule leaves untreated contribute an exact zero to the
-rule-dependent contrasts, since both arms coincide.
+Each contrast is a weighted mean psi of per-row pseudo-outcome differences c,
+with the pseudo-outcome instantiated at the row's own rule value; its standard
+error is the sandwich form sqrt(sum (w (c - psi))^2) / sum w (Binder 1983).
+Rows the rule leaves untreated contribute an exact zero to the rule-dependent
+contrasts, since both arms coincide.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,10 +80,7 @@ class EffectEstimate:
     folds: int
 
     def to_dict(self) -> dict:
-        return {"contrast": self.contrast, "rule": self.rule, "arms": self.arms,
-                "estimate": self.estimate, "se": self.se,
-                "ci_low": self.ci_low, "ci_high": self.ci_high,
-                "n": self.n, "folds": self.folds}
+        return asdict(self)
 
 
 def _positivity_check(epsilon: float, pair, h: np.ndarray) -> None:
@@ -100,8 +97,9 @@ def estimate_effect(dataset: Dataset, fits: NuisanceFits, rule: RuleSpec,
                     contrast: str, z_value: float = 1.96) -> EffectEstimate:
     """Point estimate, EIF-based standard error and Wald interval.
 
-    The point is the weighted mean of the per-row contrast; the variance is
-    the weighted (Hajek-centered) sample variance of that contrast over n.
+    One ``pseudo_contrast`` call plus ``effect_table``: the point is the
+    weighted mean of the per-row contrast, and the standard error is its
+    sandwich form.
     """
     return effect_table(dataset, pseudo_contrast(dataset, fits), [rule],
                         (contrast,), z_value)[0]
@@ -110,9 +108,10 @@ def estimate_effect(dataset: Dataset, fits: NuisanceFits, rule: RuleSpec,
 def effect_table(dataset: Dataset, pseudo: PseudoOutcomes, rules,
                  contrasts=("indirect", "total"),
                  z_value: float = 1.96) -> list[EffectEstimate]:
-    """One estimate per (rule, contrast), as ``estimate_effect`` describes,
-    all from the one ``pseudo_contrast`` result: the interventional indirect
-    and total effects for each rule type, mirroring a forest-plot layout."""
+    """One estimate per (rule, contrast), all from the one ``pseudo_contrast``
+    result, mirroring a forest-plot layout: psi = sum w c / sum w, with the
+    sandwich variance sum (w (c - psi))^2 / (sum w)^2, which for unit weights
+    is the mean squared deviation of c over n."""
     if pseudo.n != dataset.n:
         raise SchemaMismatch("pseudo-outcomes belong to a different dataset")
     w = dataset.weights
@@ -134,8 +133,8 @@ def effect_table(dataset: Dataset, pseudo: PseudoOutcomes, rules,
                 if by_rule:
                     c = np.where(treated, c, 0.0)
             point = float(np.sum(w * c) / wsum)
-            var = float(np.sum(w * (c - point) ** 2) / wsum)
-            se = float(np.sqrt(var / dataset.n))
+            var = float(np.sum((w * (c - point)) ** 2) / wsum)
+            se = float(np.sqrt(var / wsum))
             table.append(EffectEstimate(
                 contrast=contrast, rule=rule.label, arms=_arms(contrast),
                 estimate=point, se=se, ci_low=point - z_value * se,

@@ -22,7 +22,7 @@ from .errors import (
     NonFinitePseudoOutcome,
     SchemaMismatch,
 )
-from .learners import fit_stack
+from .learners import DEFAULT_STACK, fit_stack
 
 CONTRAST_PAIRS = ((1, 1), (1, 0), (0, 0))
 
@@ -31,7 +31,7 @@ CONTRAST_PAIRS = ((1, 1), (1, 0), (0, 0))
 class NuisanceConfig:
     """Learner stack and clipping used for every nuisance fit."""
 
-    stack: tuple[str, ...] = ("mean", "glm", "lasso")
+    stack: tuple[str, ...] = DEFAULT_STACK
     epsilon: float = 0.01
     seed: int = 0
     pairs: tuple[tuple[int, int], ...] = CONTRAST_PAIRS
@@ -283,14 +283,6 @@ class PseudoOutcomes:
         if pair not in self.d:
             raise MissingArm(pair)
         return self.d[pair]
-
-    @property
-    def d11(self) -> np.ndarray:
-        return self[1, 1]
-
-    @property
-    def d10(self) -> np.ndarray:
-        return self[1, 0]
 
     @property
     def n(self) -> int:

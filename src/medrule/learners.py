@@ -3,13 +3,14 @@
 Every learner is a ``_Learner``, deterministic given (data, weights, seed): its
 one public ``fit(X, y, w, seed)`` hands ``_prepare``'s checked arrays to its own
 ``_fit``. ``fit_stack`` runs ``_prepare`` once and fits its members (registry
-names or ``_Learner`` instances) by ``_fit``. Every model is a ``_Bounded``, whose
-``predict`` checks the features and clips its raw prediction to [0, 1] for binary
-{0,1} targets, fit as probabilities, and the observed training range expanded
-by 10% for continuous ones. Stack weights are the exact simplex-constrained
-least-squares solution; ties go to the fewest members, then the earliest in
-stack order. Ridge and lasso paths are exact from the weighted sums of each
-training set; the one iterative solver, IRLS, warns when it stops at its cap.
+names or ``_Learner`` instances) by ``_fit``, as ``fit_adaptive_lasso`` fits its
+ridge and lasso stages. Every model is a ``_Bounded``, whose ``predict`` checks
+the features and clips its raw prediction to [0, 1] for binary {0,1} targets, fit
+as probabilities, and the observed training range expanded by 10% for continuous
+ones. Stack weights are the exact simplex-constrained least-squares solution;
+ties go to the fewest members, then the earliest in stack order. Ridge and lasso
+paths are exact from the weighted sums of each training set; the one iterative
+solver, IRLS, warns when it stops at its cap.
 """
 from __future__ import annotations
 
@@ -44,14 +45,6 @@ def _check_features(X) -> np.ndarray:
     return X
 
 
-def _check_target(y, w):
-    y = np.asarray(y, dtype=float)
-    w = np.ones(len(y)) if w is None else np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteFeature("target vector holds non-finite entries")
-    return y, w
-
-
 def _is_binary(y: np.ndarray) -> bool:
     return bool(np.all((y == 0.0) | (y == 1.0)))
 
@@ -68,7 +61,10 @@ def _prepare(X, y, w):
     """The fit preamble: checked X, y and w (ones when None), whether y is
     binary, and the prediction bounds ``(lo, hi)``."""
     X = _check_features(X)
-    y, w = _check_target(y, w)
+    y = np.asarray(y, dtype=float)
+    w = np.ones(len(y)) if w is None else np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteFeature("target vector holds non-finite entries")
     if not (X.shape[0] == len(y) == len(w)):
         raise ValueError("X, y and w must agree in length")
     binary = _is_binary(y)
@@ -575,6 +571,8 @@ class GBStumpLearner(_Learner):
 # ---------------------------------------------------------------------------
 # registry
 
+DEFAULT_STACK = ("mean", "glm", "lasso")  # the documented default learner stack
+
 _REGISTRY = {
     "mean": MeanLearner,
     "glm": GLMLearner,
@@ -590,15 +588,6 @@ def make_learner(name: str):
         return _REGISTRY[name]()
     except KeyError:
         raise ValueError(f"unknown learner {name!r}; choose from {sorted(_REGISTRY)}") from None
-
-
-def fit_learner(learner, X, y, w=None, seed: int = 0):
-    """Fit one learner (instance or registry name) and return its model."""
-    if isinstance(learner, str):
-        learner = make_learner(learner)
-    if len(y) < 2:
-        raise ValueError("need at least two rows to fit")
-    return learner.fit(X, y, w, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -751,14 +740,14 @@ def fit_adaptive_lasso(X, y, w=None, seed: int = 0,
     Features the ridge zeroes out are excluded outright. The second stage
     picks its penalty by the one-SE rule, trading a little prediction risk
     for the sparser, more stable support an interpretable rule needs."""
-    X, y, w, _, (lo, hi) = _prepare(X, y, w)
+    X, y, w, binary, (lo, hi) = _prepare(X, y, w)
     p = X.shape[1]
     names = list(feature_names) if feature_names is not None else [
         f"x{j}" for j in range(p)]
     if len(names) != p:
         raise ValueError("feature_names length must match the feature count")
 
-    ridge = PenalizedLearner(l1_ratio=0.0).fit(X, y, w, seed=seed)
+    ridge = PenalizedLearner(l1_ratio=0.0)._fit(X, y, w, binary, (lo, hi), seed)
     mags = np.abs(ridge.coef_std)
     active = mags > 1e-12
     pweights = np.where(active, 1.0 / np.where(active, mags, 1.0), np.inf)
@@ -769,7 +758,7 @@ def fit_adaptive_lasso(X, y, w=None, seed: int = 0,
                                   intercept=_wmean(y, w), lam=0.0, lo=lo, hi=hi)
 
     lasso = PenalizedLearner(l1_ratio=1.0, penalty_weights=pweights[active],
-                             cv_rule="1se").fit(X[:, active], y, w, seed=seed + 1)
+                             cv_rule="1se")._fit(X[:, active], y, w, binary, (lo, hi), seed + 1)
     coef = np.zeros(p)
     coef[active] = lasso.coef
     return AdaptiveLassoModel(feature_names=names, ridge_magnitudes=mags,

@@ -10,7 +10,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,17 +22,11 @@ from .data import ColumnSchema, Dataset, read_csv, validate_dataset, write_csv
 from .effects import constant_rule, effect_table, estimated_rule
 from .eif import NuisanceConfig, fit_nuisances, pseudo_contrast
 from .errors import ConfigError, MedruleError
-from .learners import make_learner
+from .learners import DEFAULT_STACK, make_learner
 from .plot import render_forest_plot
 from .subgroup import assign_subgroup, fit_blip, subgroup_summary
 
 BLIP_METHODS = ("stack", "adaptive-lasso")
-# the run config's keys (README); "threads" is accepted from older configs
-# and ignored
-CONFIG_KEYS = ("data", "roles", "folds", "seed", "stack", "blip_methods", "epsilon",
-               "output_dir", "z_value", "threads")
-ROLE_KEYS = ("baseline", "rule_covariates", "treatment", "post_treatment", "mediators",
-             "outcome", "weight", "outcome_range", "categorical_levels")
 
 
 @dataclass(frozen=True)
@@ -41,7 +35,7 @@ class RunConfig:
     schema: ColumnSchema
     folds: int = 5
     seed: int = 1
-    stack: tuple[str, ...] = ("mean", "glm", "lasso")
+    stack: tuple[str, ...] = DEFAULT_STACK
     blip_methods: tuple[str, ...] = BLIP_METHODS
     epsilon: float = 0.01
     output_dir: str = "medrule-out"
@@ -85,46 +79,53 @@ def _whole(key: str, value) -> int:
     return int(value)
 
 
+def _number(key: str, value) -> float:
+    """A real-valued key's value; neither true/false nor a numeric string is one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _string(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
+def _levels(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return {name: _list(f"{key}.{name}", levels) for name, levels in value.items()}
+
+
+# The run config's keys (README) and how each is read. A key the config omits
+# takes its RunConfig or ColumnSchema default; None marks the two keys that
+# RunConfig does not take: "roles" builds the schema, and "threads" is
+# accepted from older configs and ignored.
+CONFIG_KEYS = {"data": _string, "roles": None, "folds": _whole, "seed": _whole,
+               "stack": _list, "blip_methods": _list, "epsilon": _number,
+               "output_dir": _string, "z_value": _number, "threads": None}
+ROLE_KEYS = {"baseline": _list, "rule_covariates": _list, "treatment": _string,
+             "post_treatment": _string, "mediators": _list, "outcome": _string,
+             "weight": lambda key, value: value if value is None else _string(key, value),
+             "outcome_range": _list, "categorical_levels": _levels}
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run config (see README for the layout)."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        for key, kind, what in (("roles", dict, "object"), ("data", str, "string"),
-                                ("output_dir", str, "string")):
-            if key in doc and not isinstance(doc[key], kind):
-                raise ConfigError(f"{key} must be a JSON {what}, got {doc[key]!r}")
         roles = doc["roles"]
+        if not isinstance(roles, dict):
+            raise ConfigError(f"roles must be a JSON object, got {roles!r}")
         unknown = [k for k in doc if k not in CONFIG_KEYS]
         unknown += [f"roles.{k}" for k in roles if k not in ROLE_KEYS]
         if unknown:
             raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
-        for key in ("treatment", "post_treatment", "outcome", "weight"):
-            value = roles.get(key, "")  # a missing key fails below
-            if not (isinstance(value, str) or (key == "weight" and value is None)):
-                raise ConfigError(f"roles.{key} must be a column name string, got {value!r}")
-        schema = ColumnSchema(
-            baseline=_list("roles.baseline", roles["baseline"]),
-            rule_covariates=_list("roles.rule_covariates", roles["rule_covariates"]),
-            treatment=roles["treatment"],
-            post_treatment=roles["post_treatment"],
-            mediators=_list("roles.mediators", roles["mediators"]),
-            outcome=roles["outcome"],
-            weight=roles.get("weight"),
-            outcome_range=_list("roles.outcome_range",
-                                roles.get("outcome_range", (0.0, 1.0))),
-            categorical_levels=roles.get("categorical_levels", {}),
-        )
-        return RunConfig(
-            data=doc["data"], schema=schema,
-            folds=_whole("folds", doc.get("folds", 5)),
-            seed=_whole("seed", doc.get("seed", 1)),
-            stack=_list("stack", doc.get("stack", ("mean", "glm", "lasso"))),
-            blip_methods=_list("blip_methods", doc.get("blip_methods", BLIP_METHODS)),
-            epsilon=float(doc.get("epsilon", 0.01)),
-            output_dir=doc.get("output_dir", "medrule-out"),
-            z_value=float(doc.get("z_value", 1.96)),
-        )
+        schema = ColumnSchema(**{k: ROLE_KEYS[k](f"roles.{k}", v) for k, v in roles.items()})
+        return RunConfig(schema=schema, **{k: CONFIG_KEYS[k](k, v) for k, v in doc.items()
+                                           if CONFIG_KEYS[k]})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad run config: {exc}") from exc
 
@@ -199,8 +200,7 @@ def run_pipeline(config: RunConfig, write: bool = True) -> dict:
     }
 
     if write:
-        write_artifacts(report, dataset, fits, pseudo, assignments, table,
-                        Path(config.output_dir))
+        write_artifacts(report, dataset, fits, pseudo, assignments, Path(config.output_dir))
     return report
 
 
@@ -209,11 +209,11 @@ def report_json(report: dict) -> str:
 
 
 def write_artifacts(report, dataset: Dataset, fits, pseudo, assignments,
-                    table, outdir: Path) -> None:
+                    outdir: Path) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report_json(report))
-    effects_doc = [est.to_dict() for est in table]
+    effects_doc = report["effects"]
     (outdir / "effects.json").write_text(
         json.dumps(effects_doc, indent=2, sort_keys=True) + "\n")
 
@@ -221,15 +221,15 @@ def write_artifacts(report, dataset: Dataset, fits, pseudo, assignments,
     write_csv(outdir / "fold_assignment.csv",
               {"row": rows, "fold": fits.plan.assignment})
     write_csv(outdir / "pseudo_outcomes.csv",
-              {"row": rows, "fold": pseudo.fold, "d11": pseudo.d11,
-               "d10": pseudo.d10, "d": pseudo.values})
+              {"row": rows, "fold": pseudo.fold, "d11": pseudo[1, 1],
+               "d10": pseudo[1, 0], "d": pseudo.values})
     for method, asg in assignments.items():
         write_csv(outdir / f"subgroup_{method.replace('-', '_')}.csv",
                   {"row": rows, "blip": asg.blip, "harm": asg.harm,
                    "rule": asg.rule,
                    "provenance": [asg.provenance] * dataset.n})
     write_csv(outdir / "effects.csv",
-              {k: [est.to_dict()[k] for est in table]
+              {k: [est[k] for est in effects_doc]
                for k in ("contrast", "rule", "estimate", "se",
                          "ci_low", "ci_high", "n", "folds")})
     (outdir / "forest.svg").write_text(render_forest_plot(effects_doc))

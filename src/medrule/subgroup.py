@@ -16,7 +16,7 @@ from .crossfit import CrossFitPlan, fit_folds, out_of_fold
 from .data import Dataset, feature_block
 from .errors import MissingArm, SchemaMismatch
 from .eif import PseudoOutcomes
-from .learners import AdaptiveLassoModel, fit_adaptive_lasso, fit_stack
+from .learners import DEFAULT_STACK, AdaptiveLassoModel, fit_adaptive_lasso, fit_stack
 
 
 @dataclass
@@ -29,7 +29,7 @@ class BlipModel:
 
 
 def fit_blip(pseudo: PseudoOutcomes, dataset: Dataset, plan: CrossFitPlan,
-             method: str = "stack", stack=("mean", "glm", "lasso"),
+             method: str = "stack", stack=DEFAULT_STACK,
              seed: int = 0) -> BlipModel:
     """Regress the pseudo-outcome contrast on the rule covariates.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from medrule import crossfit_predict, make_plan
+from medrule.crossfit import fit_folds, make_plan, out_of_fold
 from medrule.errors import MissingArm, TooFewRows
 
 
@@ -58,7 +58,7 @@ def test_out_of_fold_mean_matches_hand_computation():
     y = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])
     plan = make_plan(6, 3, seed=5)
     fit_fn, predict_fn = _mean_fit(y)
-    pred = crossfit_predict(plan, fit_fn, predict_fn)
+    pred = out_of_fold(plan, fit_folds(plan, fit_fn), predict_fn)
     for i in range(6):
         expected = y[plan.train_indices(plan.assignment[i])].mean()
         assert pred[i] == pytest.approx(expected, abs=1e-15)
@@ -69,7 +69,7 @@ def test_leave_one_out_closed_form():
     n = len(y)
     plan = make_plan(n, n, seed=2)
     fit_fn, predict_fn = _mean_fit(y)
-    pred = crossfit_predict(plan, fit_fn, predict_fn)
+    pred = out_of_fold(plan, fit_folds(plan, fit_fn), predict_fn)
     expected = (y.sum() - y) / (n - 1)
     assert np.allclose(pred, expected, atol=1e-12)
 
@@ -78,7 +78,7 @@ def test_fold_evaluation_order_irrelevant():
     y = np.arange(12.0)
     plan = make_plan(12, 4, seed=9)
     fit_fn, predict_fn = _mean_fit(y)
-    pred = crossfit_predict(plan, fit_fn, predict_fn)
+    pred = out_of_fold(plan, fit_folds(plan, fit_fn), predict_fn)
     # manual evaluation in reversed fold order
     manual = np.empty(12)
     for j in reversed(range(4)):
@@ -91,12 +91,12 @@ def test_out_of_fold_purity_under_target_perturbation():
     y = np.arange(10.0)
     plan = make_plan(10, 5, seed=4)
     fit_fn, predict_fn = _mean_fit(y)
-    base = crossfit_predict(plan, fit_fn, predict_fn)
+    base = out_of_fold(plan, fit_folds(plan, fit_fn), predict_fn)
     i = 3
     y2 = y.copy()
     y2[i] += 100.0
     fit2, pred2 = _mean_fit(y2)
-    perturbed = crossfit_predict(plan, fit2, pred2)
+    perturbed = out_of_fold(plan, fit_folds(plan, fit2), pred2)
     same_fold = plan.assignment == plan.assignment[i]
     assert np.array_equal(base[same_fold], perturbed[same_fold])
     assert not np.array_equal(base[~same_fold], perturbed[~same_fold])
@@ -109,7 +109,7 @@ def test_errors_tagged_with_fold():
         raise ValueError("cannot fit")
 
     with pytest.raises(ValueError, match="fold 0"):
-        crossfit_predict(plan, bad_fit, lambda m, i: np.zeros(len(i)))
+        out_of_fold(plan, fit_folds(plan, bad_fit), lambda m, i: np.zeros(len(i)))
 
 
 def test_fold_tag_keeps_error_type_and_attributes():
@@ -119,7 +119,7 @@ def test_fold_tag_keeps_error_type_and_attributes():
         raise MissingArm((0, 0))
 
     with pytest.raises(MissingArm) as err:
-        crossfit_predict(plan, bad_fit, lambda m, i: np.zeros(len(i)))
+        out_of_fold(plan, fit_folds(plan, bad_fit), lambda m, i: np.zeros(len(i)))
     assert type(err.value) is MissingArm
     assert err.value.pair == (0, 0)
     assert str(err.value) == f"fold 0: {MissingArm((0, 0))}"
@@ -127,8 +127,8 @@ def test_fold_tag_keeps_error_type_and_attributes():
 
 def test_rows_first_predictions_keep_trailing_shape():
     plan = make_plan(7, 3, seed=3)
-    pred = crossfit_predict(plan, lambda j, idx: j,
-                            lambda j, idx: np.column_stack([idx, np.full(len(idx), j)]))
+    pred = out_of_fold(plan, fit_folds(plan, lambda j, idx: j),
+                       lambda j, idx: np.column_stack([idx, np.full(len(idx), j)]))
     assert pred.shape == (7, 2)
     assert np.array_equal(pred[:, 0], np.arange(7))
     assert np.array_equal(pred[:, 1], plan.assignment)

@@ -142,7 +142,7 @@ def test_pseudo_outcomes_finite_and_bounded(big_run):
     eps = fits.config.epsilon
     bound = (1.0 / eps) ** 4 * 1.0 + 4.0 / eps  # coarse but explicit cap
     pseudo = pseudo_contrast(ds, fits)
-    for arr in (pseudo.d11, pseudo.d10, pseudo.values):
+    for arr in (pseudo[1, 1], pseudo[1, 0], pseudo.values):
         assert np.all(np.isfinite(arr))
         assert np.max(np.abs(arr)) < bound
 

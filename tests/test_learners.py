@@ -3,25 +3,25 @@ import warnings
 import numpy as np
 import pytest
 
-from medrule import fit_adaptive_lasso, fit_learner, fit_stack, make_learner
+from medrule import fit_adaptive_lasso, fit_stack, make_learner
 from medrule import learners
-from medrule.crossfit import crossfit_predict, make_plan
+from medrule.crossfit import fit_folds, make_plan, out_of_fold
 from medrule.errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
                             SeparationWarning, SingularDesignWarning)
 from medrule.learners import GLMLearner, PenalizedLearner, _simplex_lsq
 
 
 def test_mean_learner_weighted_mean():
-    model = fit_learner("mean", np.zeros((4, 1)), [0, 1, 1, 1])
+    model = make_learner("mean").fit(np.zeros((4, 1)), [0, 1, 1, 1])
     assert model.predict(np.zeros((3, 1)))[0] == pytest.approx(0.75)
-    model = fit_learner("mean", np.zeros((2, 1)), [0.0, 1.0], w=[3.0, 1.0])
+    model = make_learner("mean").fit(np.zeros((2, 1)), [0.0, 1.0], w=[3.0, 1.0])
     assert model.predict(np.zeros((1, 1)))[0] == pytest.approx(0.25)
 
 
 def test_glm_interpolates_exact_linear_data():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 1))
-    model = fit_learner("glm", x, 2.0 * x[:, 0])
+    model = make_learner("glm").fit(x, 2.0 * x[:, 0])
     assert model.beta[1] == pytest.approx(2.0, abs=1e-6)
     assert model.beta[0] == pytest.approx(0.0, abs=1e-6)
 
@@ -31,7 +31,7 @@ def test_glm_logistic_recovers_coefficients():
     x = rng.normal(size=(20000, 1))
     p = 1.0 / (1.0 + np.exp(-(0.4 + 1.0 * x[:, 0])))
     y = (rng.random(20000) < p).astype(float)
-    model = fit_learner("glm", x, y)
+    model = make_learner("glm").fit(x, y)
     assert model.binary
     assert model.beta[0] == pytest.approx(0.4, abs=0.1)
     assert model.beta[1] == pytest.approx(1.0, abs=0.1)
@@ -43,7 +43,7 @@ def test_glm_collinear_falls_back_to_ridge():
     x = rng.normal(size=(100, 1))
     X = np.column_stack([x, x])  # exactly collinear
     with pytest.warns(SingularDesignWarning):
-        model = fit_learner("glm", X, 3.0 * x[:, 0])
+        model = make_learner("glm").fit(X, 3.0 * x[:, 0])
     assert model.singular_fallback
     assert np.all(np.isfinite(model.predict(X)))
 
@@ -54,14 +54,14 @@ def test_irls_warns_at_iteration_cap(monkeypatch):
     y = (rng.random(500) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
     monkeypatch.setattr(learners, "IRLS_MAX_ITER", 1)
     with pytest.warns(ConvergenceWarning) as record:
-        fit_learner("glm", x, y)
+        make_learner("glm").fit(x, y)
     assert [str(r.message) for r in record] == [
         "IRLS reached its iteration cap (1) without converging"]
 
 
 def test_non_finite_feature_rejected():
     with pytest.raises(NonFiniteFeature):
-        fit_learner("glm", np.array([[1.0], [np.nan]]), [0.0, 1.0])
+        make_learner("glm").fit(np.array([[1.0], [np.nan]]), [0.0, 1.0])
 
 
 CONTRACT_FITS = [
@@ -197,7 +197,7 @@ def test_lasso_cv_recovers_strong_support():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(500, 5))
     y = 2.0 * X[:, 1] + 0.2 * rng.normal(size=500)
-    model = fit_learner("lasso", X, y, seed=7)
+    model = make_learner("lasso").fit(X, y, seed=7)
     assert abs(model.coef[1]) > 1.5
     assert np.all(np.abs(np.delete(model.coef, 1)) < 0.1)
 
@@ -206,7 +206,7 @@ def test_ridge_keeps_all_coefficients():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(300, 3))
     y = X @ np.array([1.0, -1.0, 0.5]) + 0.1 * rng.normal(size=300)
-    model = fit_learner("ridge", X, y, seed=7)
+    model = make_learner("ridge").fit(X, y, seed=7)
     assert np.all(np.abs(model.coef - [1.0, -1.0, 0.5]) < 0.1)
 
 
@@ -220,8 +220,8 @@ def test_integer_weights_equal_row_replication(name):
     Xrep = np.repeat(X, k, axis=0)
     for target in (y, ybin):
         trep = np.repeat(target, k)
-        m_w = fit_learner(name, X, target, w=k.astype(float))
-        m_r = fit_learner(name, Xrep, trep)
+        m_w = make_learner(name).fit(X, target, w=k.astype(float))
+        m_r = make_learner(name).fit(Xrep, trep)
         grid = rng.normal(size=(10, 2))
         assert np.allclose(m_w.predict(grid), m_r.predict(grid), atol=1e-8)
 
@@ -229,7 +229,7 @@ def test_integer_weights_equal_row_replication(name):
 def test_regression_predictions_clipped_to_expanded_range():
     X = np.array([[0.0], [1.0]])
     with pytest.warns(SeparationWarning):  # separated data: IRLS stops early
-        model = fit_learner("glm", X, [0.0, 1.0])
+        model = make_learner("glm").fit(X, [0.0, 1.0])
     pred = model.predict(np.array([[10.0], [-10.0]]))
     assert pred.max() <= 1.1 and pred.min() >= -0.1
 
@@ -282,8 +282,8 @@ def test_determinism_bitwise():
     y = (rng.random(200) < 0.4).astype(float)
     w = rng.uniform(0.5, 1.5, 200)
     for name in ("mean", "glm", "lasso", "ridge", "gbstump"):
-        m1 = fit_learner(name, X, y, w=w, seed=11)
-        m2 = fit_learner(name, X, y, w=w, seed=11)
+        m1 = make_learner(name).fit(X, y, w=w, seed=11)
+        m2 = make_learner(name).fit(X, y, w=w, seed=11)
         assert np.array_equal(m1.predict(X), m2.predict(X))
 
 
@@ -297,7 +297,7 @@ def test_saturated_glm_cells_match_direct_group_means():
         X = X[~np.all(X == 1.0, axis=1)]  # the all-ones cell stays unseen
         y = rng.random(len(X))
         w = rng.uniform(0.5, 2.0, size=len(X))
-        model = fit_learner("glm_sat", X, y, w=w)
+        model = make_learner("glm_sat").fit(X, y, w=w)
         assert (model.table is None) == (p > learners.SATURATED_MAX_FEATURES)
         seen = X[X[:, 0] == 0.0][0]
         off_grid = [seen.copy() for _ in range(3)]
@@ -318,7 +318,7 @@ def test_saturated_glm_cells_match_direct_group_means():
         w0 = w.copy()
         zero = X[:, 0] == 1.0
         w0[zero & np.all(X[:, 1:] == X[zero][0, 1:], axis=1)] = 0.0
-        model = fit_learner("glm_sat", X, y, w=w0)
+        model = make_learner("glm_sat").fit(X, y, w=w0)
         cell = int(X[zero][0] @ 2 ** np.arange(p))
         assert cell in model.keys
         fallback = np.sum(w0 * y) / np.sum(w0)
@@ -336,7 +336,7 @@ def test_saturated_glm_product_basis_on_continuous():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(300, 2))
     y = 1.0 + X[:, 0] * X[:, 1]
-    model = fit_learner("glm_sat", X, y)
+    model = make_learner("glm_sat").fit(X, y)
     assert np.allclose(model.predict(X), np.clip(y, model.lo, model.hi), atol=1e-6)
 
 
@@ -344,7 +344,7 @@ def test_gbstump_learns_step_function():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(1500, 1))
     y = (x[:, 0] > 0.3).astype(float) * 2.0 + 0.05 * rng.normal(size=1500)
-    model = fit_learner("gbstump", x, y, seed=2)
+    model = make_learner("gbstump").fit(x, y, seed=2)
     pred = model.predict(np.array([[-1.0], [1.0]]))
     assert pred[0] < 0.3 and pred[1] > 1.7
 
@@ -375,7 +375,7 @@ def test_stack_identical_members_match_single_member():
     X = rng.normal(size=(400, 2))
     y = X[:, 0] + rng.normal(size=400)
     stack = fit_stack(["mean", "mean"], X, y, seed=4)
-    single = fit_learner("mean", X, y)
+    single = make_learner("mean").fit(X, y)
     assert np.max(np.abs(stack.predict(X) - single.predict(X))) <= 1e-10
     assert stack.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -450,14 +450,20 @@ def test_member_failing_in_later_fold_is_dropped():
     assert np.array_equal(stack.cv_risks, without.cv_risks)
 
 
-@pytest.mark.parametrize("members", [["mean", "glm", "glm_sat"], ["glm_sat"]])
+@pytest.mark.parametrize("members", [["mean", "glm", "glm_sat"], ["glm_sat"],
+                                     "adaptive-lasso"])
 def test_stack_runs_one_fit_preamble(monkeypatch, members):
+    # the adaptive lasso fits its ridge and lasso stages on its own preamble
     calls = []
     prepare = learners._prepare
     monkeypatch.setattr(learners, "_prepare", lambda *a: calls.append(1) or prepare(*a))
     rng = np.random.default_rng(42)
     X = (rng.random((120, 2)) < 0.5).astype(float)
-    fit_stack(members, X, X[:, 0] + rng.normal(size=120))
+    y = X[:, 0] + rng.normal(size=120)
+    if members == "adaptive-lasso":
+        fit_adaptive_lasso(X, y)
+    else:
+        fit_stack(members, X, y)
     assert len(calls) == 1
 
 
@@ -469,10 +475,9 @@ def _member_major_stack(names, X, y, w, seed):
     plan = make_plan(len(y), learners.CV_FOLDS, seed)
     preds = np.empty((len(y), len(names)))
     for mi, m in enumerate(members):
-        preds[:, mi] = crossfit_predict(
-            plan,
-            lambda j, tr: m.fit(X[tr], y[tr], w[tr], seed=seed * 1_000_003 + mi * 101 + j),
-            lambda model, va: model.predict(X[va]))
+        fold_models = fit_folds(plan, lambda j, tr: m.fit(
+            X[tr], y[tr], w[tr], seed=seed * 1_000_003 + mi * 101 + j))
+        preds[:, mi] = out_of_fold(plan, fold_models, lambda model, va: model.predict(X[va]))
     P = preds[:, list(range(len(names)))]  # the kept columns
     alpha = _simplex_lsq(P, y, w)
     cv_risks = np.array([np.sum(w * (y - P[:, k]) ** 2) / np.sum(w)

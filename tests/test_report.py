@@ -293,6 +293,10 @@ def test_misspelt_config_key_rejected(tmp_path, top, roles, key):
     ({"roles": []}, {}, "roles"),
     ({"data": 7}, {}, "data"),
     ({"output_dir": 5}, {}, "output_dir"),
+    ({"z_value": True}, {}, "z_value"),
+    ({"epsilon": "0.05"}, {}, "epsilon"),
+    ({}, {"categorical_levels": {"m": "012"}}, "roles.categorical_levels.m"),
+    ({}, {"categorical_levels": {"m": ["a", "a", "b"]}}, "categorical_levels.m"),
 ])
 def test_wrong_shape_config_value_rejected(tmp_path, top, roles, key):
     doc = json.loads(write_run_inputs(tmp_path, n=50).read_text())
@@ -315,7 +319,7 @@ def test_cli_rejects_list_valued_column_role(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("roles", []), ("data", 7), ("data", 0),
-                                        ("output_dir", 5)])
+                                        ("output_dir", 5), ("epsilon", "0.05")])
 def test_cli_rejects_wrong_type_config_value(tmp_path, capsys, key, value):
     config_path = write_run_inputs(tmp_path, n=50, **{key: value})
     assert main(["run", str(config_path)]) == 1
