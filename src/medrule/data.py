@@ -71,8 +71,8 @@ class ColumnSchema:
         if dupes:
             raise ValueError(f"columns assigned to more than one role: {sorted(dupes)}")
         lo, hi = self.outcome_range
-        if not lo < hi:
-            raise ValueError(f"outcome range [{lo}, {hi}] is empty")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"outcome_range must be finite and non-empty, got [{lo}, {hi}]")
 
     @property
     def all_columns(self) -> tuple[str, ...]:

@@ -73,6 +73,10 @@ class NonFiniteFeature(MedruleError):
     pass
 
 
+class UnsaturableDesign(MedruleError, ValueError):
+    """glm_sat met a feature with too many distinct values, or too many cells."""
+
+
 class NonFinitePseudoOutcome(MedruleError):
     def __init__(self, term, row):
         super().__init__(f"pseudo-outcome term {term!r} is not finite at row {row}")

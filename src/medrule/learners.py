@@ -8,13 +8,14 @@ ridge and lasso stages. Every model is a ``_Bounded``, whose ``predict`` checks
 the features and clips its raw prediction to [0, 1] for binary {0,1} targets, fit
 as probabilities, and the observed training range expanded by 10% for continuous
 ones. Stack weights are the exact simplex-constrained least-squares solution;
-ties go to the fewest members, then the earliest in stack order. Ridge and lasso
-paths are exact from the weighted sums of each training set; the one iterative
-solver, IRLS, warns when it stops at its cap.
+ties go to the fewest members, then the earliest in stack order. ``glm_sat`` is
+the weighted mean of each cell of a discrete design; ridge and lasso paths are
+exact from weighted sums; IRLS, the one iterative solver, warns at its cap.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .crossfit import fit_folds, make_plan, out_of_fold
 from .errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
-                     SeparationWarning, SingularDesignWarning)
+                     SeparationWarning, SingularDesignWarning, UnsaturableDesign)
 
 CV_FOLDS = 5
 IRLS_MAX_ITER = 100
@@ -32,8 +33,8 @@ SEPARATION_TOL = 1e-6  # share of a step's largest move that counts as no move
 N_LAMBDAS = 50
 GB_ROUNDS = 200
 GB_RATE = 0.1
-SATURATED_MAX_FEATURES = 10
-CELL_CODE_MAX_FEATURES = 62  # int64 cell codes: bits 0..p-1, with code 2**p for non-binary rows
+SATURATED_MAX_FEATURES = 10  # glm_sat's dense cell table holds up to 2**10 cells
+SATURATED_MAX_LEVELS = 16  # glm_sat refuses a feature with more distinct training values
 
 
 def _check_features(X) -> np.ndarray:
@@ -130,75 +131,86 @@ def _solve_wls(X1: np.ndarray, y: np.ndarray, w: np.ndarray,
     return np.linalg.solve(A, b), singular
 
 
-def _product_basis(X: np.ndarray) -> np.ndarray:
-    """Products over every non-empty subset of columns (saturated basis)."""
-    n, p = X.shape
-    if p > SATURATED_MAX_FEATURES:
-        raise ValueError(
-            f"saturated basis over {p} features would need 2^{p} columns; "
-            f"cap is {SATURATED_MAX_FEATURES}"
-        )
-    cols = []
-    for mask in range(1, 2 ** p):
-        prod = np.ones(n)
-        for j in range(p):
-            if mask >> j & 1:
-                prod = prod * X[:, j]
-        cols.append(prod)
-    return np.column_stack(cols) if cols else np.empty((n, 0))
-
-
 @dataclass
 class FittedGLM(_Bounded):
     beta: np.ndarray            # intercept first
     binary: bool
     singular_fallback: bool
-    saturated: bool = False
 
     def _raw(self, X) -> np.ndarray:
-        if self.saturated:
-            X = _product_basis(X)
         eta = self.beta[0] + X @ self.beta[1:]
         return _expit(eta) if self.binary else eta
 
 
 @dataclass
 class FittedCellMeans(_Bounded):
-    """Saturated fit over all-binary features: one weighted mean per cell. Up to
-    ``SATURATED_MAX_FEATURES`` features, the fit bincounts cell codes straight
-    into ``table``, which predict indexes; above it, predict searches ``keys``.
-    Unseen cells, zero-weight cells and off-grid rows get ``fallback``."""
+    """Saturated fit over discrete features: one weighted mean per cell. Up to
+    ``2**SATURATED_MAX_FEATURES`` cells, the fit bincounts ``_cell_codes``
+    straight into ``table``, which predict indexes; above it, predict searches
+    ``keys``. Unseen cells, zero-weight cells and off-grid rows get ``fallback``."""
     keys: np.ndarray            # sorted codes of the cells holding any training row
     means: np.ndarray
     fallback: float
-    n_features: int
+    place: np.ndarray           # place value of each column's digit
+    levels: dict                # column -> sorted training levels, for columns not in {0, 1}
+    cells: int                  # the number of cells; the code of an off-grid row
     table: np.ndarray | None = None
 
     def _raw(self, X) -> np.ndarray:
-        code = _cell_codes(X, self.n_features)
+        code = _cell_codes(X, self.place, self.levels, self.cells)
         if self.table is not None:
             return self.table[code]
         pos = np.minimum(np.searchsorted(self.keys, code), len(self.keys) - 1)
         return np.where(self.keys[pos] == code, self.means[pos], self.fallback)
 
 
-def _cell_codes(X: np.ndarray, p: int) -> np.ndarray:
-    """Each row's cell code, bit j for feature j, or 2**p for a row with a
-    feature outside {0, 1}. Float products are exact at table sizes."""
-    if X.shape[1] != p:
-        raise ValueError(f"expected {p} features, got {X.shape[1]}")
-    binary = (X == 0.0) | (X == 1.0)
-    if not np.all(binary):
-        return np.where(np.all(binary, axis=1), _cell_codes(np.where(binary, X, 0.0), p), 1 << p)
-    weights = 2.0 ** np.arange(p) if p <= SATURATED_MAX_FEATURES else 1 << np.arange(p)
-    return (X.astype(weights.dtype, copy=False) @ weights).astype(np.int64, copy=False)
+def _cell_codes(X: np.ndarray, place: np.ndarray, levels: dict, cells: int) -> np.ndarray:
+    """Each row's cell code: its digits times ``place``, or ``cells`` if a value is
+    off its column's grid. Column j's digit is its value in {0, 1}, or for j in
+    ``levels`` its position in ``levels[j]``. Float products are exact at table sizes."""
+    if X.shape[1] != len(place):
+        raise ValueError(f"expected {len(place)} features, got {X.shape[1]}")
+    on = (X == 0.0) | (X == 1.0)
+    X = X.copy() if levels else X
+    for j, lv in levels.items():
+        pos = np.minimum(np.searchsorted(lv, X[:, j]), len(lv) - 1)
+        on[:, j] = lv[pos] == X[:, j]
+        X[:, j] = pos
+    if np.all(on):
+        return (X.astype(place.dtype, copy=False) @ place).astype(np.int64, copy=False)
+    code = (np.where(on, X, 0.0).astype(place.dtype) @ place).astype(np.int64, copy=False)
+    return np.where(np.all(on, axis=1), code, cells)
+
+
+def _fit_cells(X, y, w, lo, hi) -> FittedCellMeans:
+    on = (X == 0.0) | (X == 1.0)
+    levels = {} if np.all(on) else {j: np.unique(X[:, j]) for j in np.flatnonzero(~on.all(0))}
+    radix = [len(levels.get(j, (0, 1))) for j in range(X.shape[1])]
+    *place, cells = itertools.accumulate(radix, operator.mul, initial=1)
+    if max(radix, default=0) > SATURATED_MAX_LEVELS or cells > 2 ** 62:
+        raise UnsaturableDesign(
+            f"glm_sat needs at most {SATURATED_MAX_LEVELS} distinct values per feature and "
+            f"2**62 cells; this design has up to {max(radix)} and {cells:.3g} cells")
+    dense = cells <= 2 ** SATURATED_MAX_FEATURES  # bins: the codes, one more for off-grid rows
+    place = np.array(place, dtype=float if dense else np.int64)
+    code = _cell_codes(X, place, levels, cells)
+    keys, bins = ((np.flatnonzero(np.bincount(code, minlength=cells)), code) if dense
+                  else np.unique(code, return_inverse=True))
+    size = cells + 1 if dense else len(keys)
+    wsums = np.bincount(bins, weights=w, minlength=size)
+    ysums = np.bincount(bins, weights=w * y, minlength=size)
+    fallback = _wmean(y, w)
+    means = np.where(wsums > 0, ysums / np.where(wsums > 0, wsums, 1.0), fallback)
+    return FittedCellMeans(keys=keys, means=means[keys] if dense else means,
+                           fallback=fallback, place=place, levels=levels, cells=cells,
+                           lo=lo, hi=hi, table=means if dense else None)
 
 
 class GLMLearner(_Learner):
     """Main-terms GLM: weighted least squares for continuous targets, weighted
     logistic regression by IRLS for binary ones. ``saturated=True`` fits the
-    full interaction basis instead; over all-binary features that solution is
-    computed directly as per-cell weighted means."""
+    weighted mean of each cell of discrete features instead (``_fit_cells``),
+    refusing over ``SATURATED_MAX_LEVELS`` values in a feature or 2**62 cells."""
 
     def __init__(self, saturated: bool = False):
         self.saturated = saturated
@@ -209,9 +221,7 @@ class GLMLearner(_Learner):
             # degenerate target: the exact fit is the constant itself
             return FittedMean(value=float(y[0]), lo=bounds[0], hi=bounds[1])
         if self.saturated:
-            if X.shape[1] <= CELL_CODE_MAX_FEATURES and np.all((X == 0.0) | (X == 1.0)):
-                return self._fit_cells(X, y, w, *bounds)
-            X = _product_basis(X)
+            return _fit_cells(X, y, w, *bounds)
         X1 = np.column_stack([np.ones(X.shape[0]), X])
         if binary:
             beta, singular = self._irls(X1, y, w)
@@ -221,22 +231,7 @@ class GLMLearner(_Learner):
                 warnings.warn("collinear design; refit with ridge 1e-6",
                               SingularDesignWarning, stacklevel=2)
         return FittedGLM(beta=beta, binary=binary, lo=bounds[0], hi=bounds[1],
-                         singular_fallback=singular, saturated=self.saturated)
-
-    def _fit_cells(self, X, y, w, lo, hi) -> FittedCellMeans:
-        p = X.shape[1]
-        code = _cell_codes(X, p)
-        dense = p <= SATURATED_MAX_FEATURES  # bins: the codes, one more for off-grid rows
-        keys, bins = ((np.flatnonzero(np.bincount(code, minlength=2 ** p)), code) if dense
-                      else np.unique(code, return_inverse=True))
-        size = 2 ** p + 1 if dense else len(keys)
-        wsums = np.bincount(bins, weights=w, minlength=size)
-        ysums = np.bincount(bins, weights=w * y, minlength=size)
-        fallback = _wmean(y, w)
-        means = np.where(wsums > 0, ysums / np.where(wsums > 0, wsums, 1.0), fallback)
-        return FittedCellMeans(keys=keys, means=means[keys] if dense else means,
-                               fallback=fallback, n_features=p, lo=lo, hi=hi,
-                               table=means if dense else None)
+                         singular_fallback=singular)
 
     def _irls(self, X1, y, w) -> tuple[np.ndarray, bool]:
         """Logistic IRLS from beta = 0.

@@ -108,7 +108,8 @@ CONFIG_KEYS = {"data": _string, "roles": None, "folds": _whole, "seed": _whole,
 ROLE_KEYS = {"baseline": _list, "rule_covariates": _list, "treatment": _string,
              "post_treatment": _string, "mediators": _list, "outcome": _string,
              "weight": lambda key, value: value if value is None else _string(key, value),
-             "outcome_range": _list, "categorical_levels": _levels}
+             "outcome_range": lambda key, value: tuple(_number(key, v) for v in _list(key, value)),
+             "categorical_levels": _levels}
 
 
 def load_config(path) -> RunConfig:

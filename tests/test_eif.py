@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from medrule import (
     NuisanceConfig,
+    constant_rule,
+    effect_table,
     fit_nuisances,
     make_plan,
     pseudo_contrast,
@@ -118,6 +122,28 @@ def test_saturated_fits_converge_to_oracle_tables(crossover):
         for zz in (0, 1):
             assert mae(fits.outcome_az[:, arm, zz]
                        - nuis.outcome[w_idx, arm, zz, m_idx]) < 0.03
+
+
+def test_saturated_fits_same_for_numeric_and_categorical_mediator(rich):
+    # glm_sat is saturated on any discrete design, so the three-level m coded
+    # as one numeric column or as two indicators gives the same fits, bit for bit
+    ds = simulate(rich, 2000, seed=31)
+    table = {name: ds.column(name) for name in ds.schema.all_columns}
+    table["m"] = [f"{v:g}" for v in table["m"]]
+    cat = validate_dataset(table, replace(ds.schema, categorical_levels={"m": ("0", "1", "2")}))
+    plan = make_plan(ds.n, 5, seed=2)
+    cfg = NuisanceConfig(stack=("glm_sat",), seed=4)
+    num, cat_fits = fit_nuisances(ds, plan, cfg), fit_nuisances(cat, plan, cfg)
+    for name in ("propensity1", "propensity_given_m1", "z_given_a1", "z_given_am1",
+                 "outcome_az"):
+        assert np.array_equal(getattr(num, name), getattr(cat_fits, name)), name
+    assert num.pairs == cat_fits.pairs and num.clip_fractions == cat_fits.clip_fractions
+    for pair in num.pairs:
+        assert np.array_equal(num.u_vals[pair], cat_fits.u_vals[pair])
+        assert np.array_equal(num.v_vals[pair], cat_fits.v_vals[pair])
+    piie = [effect_table(d, pseudo_contrast(d, f), [constant_rule(1)], ("piie",))[0]
+            for d, f in ((ds, num), (cat, cat_fits))]
+    assert (piie[0].estimate, piie[0].se) == (piie[1].estimate, piie[1].se)
 
 
 def test_rows_outside_both_arms_reduce_to_projection(big_run):

@@ -7,7 +7,7 @@ from medrule import fit_adaptive_lasso, fit_stack, make_learner
 from medrule import learners
 from medrule.crossfit import fit_folds, make_plan, out_of_fold
 from medrule.errors import (ConvergenceWarning, DroppedMemberWarning, NonFiniteFeature,
-                            SeparationWarning, SingularDesignWarning)
+                            SeparationWarning, SingularDesignWarning, UnsaturableDesign)
 from medrule.learners import GLMLearner, PenalizedLearner, _simplex_lsq
 
 
@@ -66,10 +66,12 @@ def test_non_finite_feature_rejected():
 
 CONTRACT_FITS = [
     *(pytest.param(lambda X, y, w, name=name: make_learner(name).fit(X, y, w), id=name)
-      for name in ("mean", "glm", "glm_sat", "lasso", "ridge", "gbstump")),
+      for name in ("mean", "glm", "lasso", "ridge", "gbstump")),
+    # glm_sat refuses continuous features: it fits X rounded to whole numbers
+    pytest.param(lambda X, y, w: make_learner("glm_sat").fit(np.round(X), y, w), id="glm_sat"),
     pytest.param(lambda X, y, w: fit_stack(["mean", "glm"], X, y, w), id="stack"),
     # stack members skip their own feature check; the stack's guards them
-    *(pytest.param(lambda X, y, w, m=members: fit_stack(m, X, y, w),
+    *(pytest.param(lambda X, y, w, m=members: fit_stack(m, np.round(X), y, w),
                    id="stack-" + "-".join(members))
       for members in (["glm_sat"], ["mean", "glm_sat"])),
     pytest.param(fit_adaptive_lasso, id="adaptive-lasso"),
@@ -287,7 +289,7 @@ def test_determinism_bitwise():
         assert np.array_equal(m1.predict(X), m2.predict(X))
 
 
-def test_saturated_glm_cells_match_direct_group_means():
+def test_saturated_glm_cells_match_direct_group_means(monkeypatch):
     # 3 features use the dense cell table, 12 the sorted-key search; on both,
     # an unseen cell and a row with a feature outside {0, 1} get the training
     # weighted mean, not a neighbouring cell's
@@ -331,13 +333,61 @@ def test_saturated_glm_cells_match_direct_group_means():
                         if np.sum(w0[sel]) > 0 else fallback)
                 assert model.table[int(c)] == pytest.approx(want, abs=1e-12)
 
+    # a column with levels {-0.5, 0.25, 2} takes digits 0, 1 and 2: rows at its
+    # third level keep their cell in a batch that mixes them with its unseen
+    # levels 0, 1 and 0.5, and with a 2 in a {0, 1} column; on the dense table
+    # and, with the table cap at one cell, on the sorted-key search
+    X = np.column_stack([rng.integers(0, 2, size=(600, 2)),
+                         rng.choice([-0.5, 0.25, 2.0], size=600)])
+    y = rng.random(600)
+    w = rng.uniform(0.5, 2.0, size=600)
+    third = X[X[:, 2] == 2.0][:4]
+    off_grid = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5], [2.0, 0.0, 2.0]])
+    Q = np.vstack([third, off_grid, third])
+    expected = np.full(len(Q), np.sum(w * y) / np.sum(w))
+    for i, row in enumerate(Q):
+        sel = np.all(X == row, axis=1)
+        if sel.any():
+            expected[i] = np.sum(w[sel] * y[sel]) / np.sum(w[sel])
+    assert np.sum(expected != expected[4]) == 8  # only the off-grid rows fall back
+    for table_features in (learners.SATURATED_MAX_FEATURES, 0):
+        monkeypatch.setattr(learners, "SATURATED_MAX_FEATURES", table_features)
+        model = make_learner("glm_sat").fit(X, y, w=w)
+        assert (model.table is None) == (table_features == 0) and model.cells == 12
+        assert np.allclose(model.predict(Q), expected, rtol=0.0, atol=1e-12)
 
-def test_saturated_glm_product_basis_on_continuous():
+
+def test_saturated_glm_refuses_continuous_features():
+    # a feature with more than SATURATED_MAX_LEVELS distinct values is refused,
+    # as a ValueError that is also a package error; in a larger stack the
+    # refusal drops the member
     rng = np.random.default_rng(10)
     X = rng.normal(size=(300, 2))
     y = 1.0 + X[:, 0] * X[:, 1]
-    model = make_learner("glm_sat").fit(X, y)
-    assert np.allclose(model.predict(X), np.clip(y, model.lo, model.hi), atol=1e-6)
+    cap = learners.SATURATED_MAX_LEVELS
+    for fit in (make_learner("glm_sat").fit, lambda X, y: fit_stack(["glm_sat"], X, y)):
+        with pytest.raises(UnsaturableDesign, match=f"at most {cap} distinct values"):
+            fit(X, y)
+    assert issubclass(UnsaturableDesign, ValueError)
+    with pytest.warns(DroppedMemberWarning,
+                      match="^stack member 'glm_sat' dropped: fold 0: glm_sat needs"):
+        stack = fit_stack(["mean", "glm", "glm_sat"], X, y)
+    assert stack.dropped == ["glm_sat"] and stack.member_names == ["mean", "glm"]
+    # the caps themselves: cap levels fit and cap + 1 do not; 62 binary
+    # features (2**62 cells) fit and 63 do not
+    for levels, ok in ((cap, True), (cap + 1, False)):
+        x = np.arange(300.0)[:, None] % levels / 7.0
+        if ok:
+            model = make_learner("glm_sat").fit(x, y)
+            assert np.allclose(model.predict(x[:levels]), [np.mean(y[x[:, 0] == v])
+                                                           for v in x[:levels, 0]])
+        else:
+            with pytest.raises(UnsaturableDesign):
+                make_learner("glm_sat").fit(x, y)
+    B = rng.integers(0, 2, size=(300, 63)).astype(float)
+    assert make_learner("glm_sat").fit(B[:, :62], y).cells == 2 ** 62
+    with pytest.raises(UnsaturableDesign, match="has up to 2 and 9.22e\\+18 cells$"):
+        make_learner("glm_sat").fit(B, y)
 
 
 def test_gbstump_learns_step_function():
@@ -496,6 +546,8 @@ def test_fold_major_stack_matches_member_major_reference(monkeypatch, names, bin
     n = 400
     rng = np.random.default_rng(43)
     X = np.column_stack([rng.random((n, 2)) < 0.5, rng.normal(size=n)]).astype(float)
+    if "glm_sat" in names:  # glm_sat refuses continuous features
+        X[:, 2] = np.round(X[:, 2])
     eta = X[:, 0] - X[:, 1] + 0.5 * X[:, 2]
     y = ((rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float) if binary
          else eta + rng.normal(size=n))
@@ -507,6 +559,8 @@ def test_fold_major_stack_matches_member_major_reference(monkeypatch, names, bin
     assert np.array_equal(stack.cv_risks, cv_risks)
     assert stack.stack_cv_risk == stack_cv_risk
     X_new = np.column_stack([rng.random((50, 2)) < 0.5, 2.0 * rng.normal(size=50)]).astype(float)
+    if "glm_sat" in names:
+        X_new[:, 2] = np.round(X_new[:, 2])
     expected = np.zeros(50)
     for a, model in zip(alpha, models):
         if a != 0.0:

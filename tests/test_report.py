@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,25 +9,27 @@ import pytest
 
 from medrule import oracle, render_forest_plot
 from medrule.cli import main
-from medrule.data import write_csv
-from medrule.dgps import crossover_dgp
+from medrule.data import read_csv, write_csv
+from medrule.dgps import crossover_dgp, rich_support_dgp
 from medrule.errors import ConfigError, EmptyTable
+from medrule.learners import SATURATED_MAX_LEVELS
 from medrule.report import load_config, run_pipeline
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
 def write_run_inputs(tmp_path, n=2000, sim_seed=11, run_seed=2,
-                     stack=("mean", "glm", "glm_sat"), **overrides):
-    dgp = crossover_dgp()
-    ds = oracle.simulate(dgp, n, seed=sim_seed)
+                     stack=("mean", "glm", "glm_sat"), dgp=None, **overrides):
+    ds = oracle.simulate(dgp or crossover_dgp(), n, seed=sim_seed)
+    schema = ds.schema
     data_path = tmp_path / "data.csv"
-    write_csv(data_path, {name: ds.column(name) for name in ds.schema.all_columns})
+    write_csv(data_path, {name: ds.column(name) for name in schema.all_columns})
     config = {
         "data": str(data_path),
-        "roles": {"baseline": ["w"], "rule_covariates": ["w"],
-                  "treatment": "A", "post_treatment": "Z",
-                  "mediators": ["m"], "outcome": "Y"},
+        "roles": {"baseline": list(schema.baseline),
+                  "rule_covariates": list(schema.rule_covariates),
+                  "treatment": schema.treatment, "post_treatment": schema.post_treatment,
+                  "mediators": list(schema.mediators), "outcome": schema.outcome},
         "folds": 5, "seed": run_seed, "stack": list(stack),
         "blip_methods": ["stack", "adaptive-lasso"],
         "epsilon": 0.01, "output_dir": str(tmp_path / "out"), "threads": 1,
@@ -297,6 +302,8 @@ def test_misspelt_config_key_rejected(tmp_path, top, roles, key):
     ({"epsilon": "0.05"}, {}, "epsilon"),
     ({}, {"categorical_levels": {"m": "012"}}, "roles.categorical_levels.m"),
     ({}, {"categorical_levels": {"m": ["a", "a", "b"]}}, "categorical_levels.m"),
+    ({}, {"outcome_range": ["0", True]}, "roles.outcome_range"),
+    ({}, {"outcome_range": [0, float("inf")]}, "outcome_range"),
 ])
 def test_wrong_shape_config_value_rejected(tmp_path, top, roles, key):
     doc = json.loads(write_run_inputs(tmp_path, n=50).read_text())
@@ -362,6 +369,45 @@ def test_cli_reports_stage_on_pipeline_error(tmp_path, capsys):
         "roles": {"baseline": ["w"], "rule_covariates": ["w"], "treatment": "A",
                   "post_treatment": "Z", "mediators": ["m"], "outcome": "Y"}}))
     assert main(["run", str(config_path)]) == 1
+
+
+def test_cli_reports_glm_sat_refusal_of_a_continuous_covariate(tmp_path, capsys):
+    config_path = write_run_inputs(tmp_path, n=200, stack=("glm_sat",))
+    doc = json.loads(config_path.read_text())
+    table = read_csv(doc["data"])
+    table["x"] = np.random.default_rng(5).normal(size=200)
+    write_csv(doc["data"], table)
+    doc["roles"]["baseline"] = ["w", "x"]
+    config_path.write_text(json.dumps(doc))
+    assert main(["run", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [nuisances] fold 0: glm_sat needs at most "
+                          f"{SATURATED_MAX_LEVELS} distinct values per feature")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    """A rich_support run writes the same artifacts at one and at two BLAS
+    threads, byte for byte (report.json without its timestamp)."""
+    doc = json.loads(write_run_inputs(tmp_path, n=1500, dgp=rich_support_dgp()).read_text())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        doc["output_dir"] = str(tmp_path / f"out{threads}")
+        config_path = tmp_path / f"config{threads}.json"
+        config_path.write_text(json.dumps(doc))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "medrule.cli", "run", str(config_path)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(Path(doc["output_dir"]))
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        one, two = ((out / name).read_text() for out in outs)
+        if name == "report.json":
+            one, two = strip_timestamp(one), strip_timestamp(two)
+        assert one == two, name
 
 
 def test_cli_plot_empty_effects(tmp_path, capsys):
